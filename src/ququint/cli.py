@@ -16,13 +16,14 @@ import numpy as np
 from .core import StateVector, apply_circuit, measure_all
 from .counts import count_table, emit_report
 from .decompose import (
+    METHODS,
     DecompositionRequest,
     DecompositionResult,
     decompose_cnz,
     verify_decomposition,
 )
-from .embedding import decode_basis_label, embed_basis_state, read_out
-from .grover import GroverSpec, run_grover
+from .embedding import ODD_VARIANTS, decode_basis_label, embed_basis_state, read_out
+from .grover import BACKENDS, GroverSpec, run_grover
 from .serialize import CircuitDocument, load_document, save_document
 
 VERIFY_TOL = 1e-10
@@ -46,7 +47,9 @@ def cmd_decompose(args) -> int:
         args.n, args.method, args.odd_variant, _parse_target(args.target)
     )
     result = decompose_cnz(request)
-    text = save_document(CircuitDocument(result.circuit, result.embedding))
+    text = save_document(
+        CircuitDocument(result.circuit, result.embedding, request.target_qubit)
+    )
     summary = (
         f"two_particle_gates={result.two_particle_gate_count} "
         f"ancilla_systems={result.ancilla_systems}"
@@ -79,17 +82,19 @@ def cmd_verify(args) -> int:
             document.circuit.two_qudit_gate_count,
             0,
         )
+        target = document.target_qubit
     else:
         if args.n is None or args.method is None:
             raise ValueError("either --circuit or both --n and --method are required")
         result = decompose_cnz(
             DecompositionRequest(args.n, args.method, args.odd_variant)
         )
+        target = None
     n = result.embedding.qubit_count
     if n > 10:
         raise ValueError(f"verification sweeps support n <= 10, got n={n}")
     subset = None if (args.exhaustive or 2**n <= _SAMPLE_INPUTS) else _sample_bitstrings(n)
-    report = verify_decomposition(result, bits_subset=subset)
+    report = verify_decomposition(result, target_qubit=target, bits_subset=subset)
     print(
         f"inputs_checked={report.inputs_checked} "
         f"max_amplitude_error={report.max_amplitude_error:.3e} "
@@ -206,8 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="compile a multi-controlled gate to a circuit document")
     p.add_argument("--n", type=int, required=True, help="number of qubits (>= 2)")
-    p.add_argument("--method", required=True, choices=("ququint", "qutrit", "qubit"))
-    p.add_argument("--odd-variant", default="single", choices=("single", "neighbor"))
+    p.add_argument("--method", required=True, choices=METHODS)
+    p.add_argument("--odd-variant", default="single", choices=ODD_VARIANTS)
     p.add_argument("--target", default="z", help="'z' for the phase gate, 'x:<idx>' for an inversion target")
     p.add_argument("--out", help="write the document here (default: stdout)")
     p.set_defaults(func=cmd_decompose)
@@ -215,11 +220,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "verify",
         help="check a circuit against the multi-controlled phase action "
-        "(sign flip on all-ones, identity elsewhere)",
+        "(sign flip on all-ones, identity elsewhere), or against the "
+        "controlled inversion a document's targetQubit names",
     )
     p.add_argument("--n", type=int)
-    p.add_argument("--method", choices=("ququint", "qutrit", "qubit"))
-    p.add_argument("--odd-variant", default="single", choices=("single", "neighbor"))
+    p.add_argument("--method", choices=METHODS)
+    p.add_argument("--odd-variant", default="single", choices=ODD_VARIANTS)
     p.add_argument("--circuit", help="verify this document instead of compiling one")
     p.add_argument("--exhaustive", action="store_true", help="sweep all 2^n basis inputs")
     p.set_defaults(func=cmd_verify)
@@ -238,15 +244,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("grover", help="run a full search instance and report the outcome")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--omega", required=True, help="hidden bitstring of length n")
-    p.add_argument("--method", default="reference", choices=("reference", "qubit", "qutrit", "ququint"))
+    p.add_argument("--method", default="reference", choices=BACKENDS)
     p.add_argument("--iterations", default="auto", help="'auto' or an explicit count")
-    p.add_argument("--odd-variant", default="single", choices=("single", "neighbor"))
+    p.add_argument("--odd-variant", default="single", choices=ODD_VARIANTS)
     p.add_argument("--report", default="text", choices=("text", "json"))
     p.set_defaults(func=cmd_grover)
 
     p = sub.add_parser("count", help="emit the per-method gate-count table")
     p.add_argument("--n-range", required=True, help="inclusive range A..B with 2 <= A <= B <= 30")
-    p.add_argument("--odd-variant", default="single", choices=("single", "neighbor"))
+    p.add_argument("--odd-variant", default="single", choices=ODD_VARIANTS)
     p.add_argument("--format", default="csv", choices=("csv", "json"))
     p.add_argument("--out", help="write bytes here (default: stdout)")
     p.set_defaults(func=cmd_count)

@@ -168,8 +168,14 @@ class TwoLevelUnitary:
     def __post_init__(self):
         for name in ("alpha", "beta", "gamma", "delta"):
             object.__setattr__(self, name, complex(getattr(self, name)))
-        m = self.matrix
-        if not np.allclose(m.conj().T @ m, np.eye(2), atol=MATRIX_TOL, rtol=0):
+        a, b, c, d = self.alpha, self.beta, self.gamma, self.delta
+        # the independent entries of U^dagger U - I; written as "<= tol"
+        # so that NaN and inf fail the check
+        if not (
+            abs(abs(a) ** 2 + abs(c) ** 2 - 1.0) <= MATRIX_TOL
+            and abs(abs(b) ** 2 + abs(d) ** 2 - 1.0) <= MATRIX_TOL
+            and abs(a.conjugate() * b + c.conjugate() * d) <= MATRIX_TOL
+        ):
             raise GateError("2x2 matrix is not unitary")
 
     @property

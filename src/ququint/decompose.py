@@ -45,6 +45,7 @@ from .core import (
     phase_shift,
 )
 from .embedding import (
+    ODD_VARIANTS,
     EmbeddingMap,
     QubitSlot,
     default_embedding,
@@ -52,8 +53,6 @@ from .embedding import (
     intra_ququint_cz,
     lift_hadamard,
 )
-
-METHODS = ("ququint", "qutrit", "qubit")
 
 T_GATE = phase_shift(math.pi / 4)
 T_DAGGER = T_GATE.dagger()
@@ -82,7 +81,7 @@ class DecompositionRequest:
             raise ValueError(f"need at least two qubits, got n={self.n}")
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
-        if self.odd_variant not in ("single", "neighbor"):
+        if self.odd_variant not in ODD_VARIANTS:
             raise ValueError(f"unknown odd variant {self.odd_variant!r}")
         if self.target_qubit is not None and not 0 <= self.target_qubit < self.n:
             raise ValueError(f"target qubit {self.target_qubit} out of range")
@@ -257,14 +256,19 @@ def to_cnx(result: DecompositionResult, target_qubit: int) -> DecompositionResul
     )
 
 
+# Method name -> compiler taking (n, odd_variant); the one place a name
+# becomes a ladder.
+_COMPILERS = {
+    "ququint": decompose_cnz_ququint,
+    "qutrit": lambda n, odd_variant: decompose_cnz_qutrit(n),
+    "qubit": lambda n, odd_variant: decompose_cnz_qubit(n),
+}
+METHODS = tuple(_COMPILERS)
+
+
 def decompose_cnz(request: DecompositionRequest) -> DecompositionResult:
     """Compile a request with any method; see the module docstring."""
-    if request.method == "ququint":
-        result = decompose_cnz_ququint(request.n, request.odd_variant)
-    elif request.method == "qutrit":
-        result = decompose_cnz_qutrit(request.n)
-    else:
-        result = decompose_cnz_qubit(request.n)
+    result = _COMPILERS[request.method](request.n, request.odd_variant)
     expected = reported_count(request.method, request.n, request.odd_variant)
     if result.two_particle_gate_count != expected:
         raise RuntimeError(
@@ -334,20 +338,6 @@ class VerificationReport:
         )
 
 
-def _decodable_label(label, emap: EmbeddingMap) -> bool:
-    for site, level in enumerate(label):
-        slots = emap.slots_of(site)
-        if not slots:
-            if level != 0:
-                return False
-        elif slots == {QubitSlot.SINGLE}:
-            if level > 1:
-                return False
-        elif level > 3:
-            return False
-    return True
-
-
 def verify_decomposition(
     result: DecompositionResult,
     target_qubit: int | None = None,
@@ -370,6 +360,7 @@ def verify_decomposition(
     n = emap.qubit_count
     register = result.circuit.register
     gates = result.circuit.gates
+    ceilings = emap.level_ceilings
     bystanders = (0, 1) if emap.bystander_sites else (0,)
     if bits_subset is None:
         inputs = itertools.product((0, 1), repeat=n)
@@ -400,7 +391,7 @@ def verify_decomposition(
             for idx, a in amps.items():
                 expected = sign if idx == expect_idx else 0.0
                 err = max(err, abs(a - expected))
-                if not _decodable_label(register.label(idx), emap):
+                if any(d > top for d, top in zip(register.label(idx), ceilings)):
                     leak += abs(a) ** 2
             if expect_idx not in amps:
                 err = max(err, 1.0)

@@ -25,6 +25,9 @@ import numpy as np
 
 from .core import HADAMARD, PAULI_Z, LevelPairGate, QuditRegister, TwoLevelUnitary
 
+# Layouts of the last qubit of an odd count, see :func:`default_embedding`.
+ODD_VARIANTS = ("single", "neighbor")
+
 
 class EmbeddingError(ValueError):
     """The embedding is inconsistent or does not support the request."""
@@ -105,6 +108,16 @@ class EmbeddingMap:
             site for site in range(self.register.num_sites) if not self.slots_of(site)
         )
 
+    @property
+    def level_ceilings(self) -> tuple[int, ...]:
+        """Highest computational level of each site: 0 on work sites, 1 on
+        SINGLE sites, 3 on pair and bystander sites (level 4 is working
+        space). A basis label decodes to qubits iff no digit exceeds it."""
+        ceilings = [0] * self.register.num_sites
+        for site, slot in self.assignments:
+            ceilings[site] = 1 if slot is QubitSlot.SINGLE else 3
+        return tuple(ceilings)
+
 
 def default_embedding(n: int, odd_variant: str = "single") -> EmbeddingMap:
     """Canonical layout of ``n`` qubits on five-level sites.
@@ -119,7 +132,7 @@ def default_embedding(n: int, odd_variant: str = "single") -> EmbeddingMap:
     """
     if n < 2:
         raise ValueError(f"need at least two qubits, got {n}")
-    if odd_variant not in ("single", "neighbor"):
+    if odd_variant not in ODD_VARIANTS:
         raise ValueError(f"unknown odd variant {odd_variant!r}")
     assignments = []
     for q in range(n - (n % 2)):
@@ -219,24 +232,12 @@ def decode_basis_label(label, emap: EmbeddingMap) -> str | None:
             f"label has {len(label)} digits, register has "
             f"{emap.register.num_sites} sites"
         )
-    bits = []
-    for site, slot in emap.assignments:
-        level = label[site]
-        if slot is QubitSlot.SINGLE:
-            if level > 1:
-                return None
-            bits.append(level)
-        else:
-            if level > 3:
-                return None
-            bits.append(level // 2 if slot is QubitSlot.A else level % 2)
-    for site in emap.work_sites:
-        if label[site] != 0:
-            return None
-    for site in emap.bystander_sites:
-        if label[site] > 3:
-            return None
-    return "".join(str(b) for b in bits)
+    if any(level > top for level, top in zip(label, emap.level_ceilings)):
+        return None
+    return "".join(
+        str(label[site] // 2 if slot is QubitSlot.A else label[site] % 2)
+        for site, slot in emap.assignments
+    )
 
 
 @dataclass(frozen=True)
@@ -255,25 +256,6 @@ def _site_digits(register: QuditRegister) -> list[np.ndarray]:
     return [
         (idx // stride) % dim for stride, dim in zip(register.strides, register.dims)
     ]
-
-
-def decodable_mask(emap: EmbeddingMap) -> np.ndarray:
-    """Boolean mask of basis states representing a valid qubit configuration.
-
-    Pair-hosting sites (including bystanders) must be below level 4, SINGLE
-    sites below level 2, and work sites exactly at level 0.
-    """
-    digits = _site_digits(emap.register)
-    mask = np.ones(emap.register.size, dtype=bool)
-    for site in range(emap.register.num_sites):
-        slots = emap.slots_of(site)
-        if not slots:
-            mask &= digits[site] == 0
-        elif slots == {QubitSlot.SINGLE}:
-            mask &= digits[site] <= 1
-        else:
-            mask &= digits[site] <= 3
-    return mask
 
 
 def read_out(probabilities: np.ndarray, emap: EmbeddingMap) -> QubitReadout:
@@ -297,7 +279,9 @@ def read_out(probabilities: np.ndarray, emap: EmbeddingMap) -> QubitReadout:
         else:
             bit = digits[site] % 2
         out_index |= (bit.astype(np.int64) & 1) << (n - 1 - q)
-    mask = decodable_mask(emap)
+    mask = np.ones(emap.register.size, dtype=bool)
+    for digit, top in zip(digits, emap.level_ceilings):
+        mask &= digit <= top
     table = np.bincount(out_index[mask], weights=probs[mask], minlength=2**n)
     leakage = float(probs[~mask].sum())
     labels = {format(i, f"0{n}b"): float(p) for i, p in enumerate(table)}

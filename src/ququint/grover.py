@@ -31,12 +31,9 @@ from .core import (
     QuditRegister,
     _apply_gate_inplace,
 )
-from .decompose import (
-    decompose_cnz_qubit,
-    decompose_cnz_ququint,
-    decompose_cnz_qutrit,
-)
+from .decompose import METHODS, DecompositionRequest, decompose_cnz
 from .embedding import (
+    ODD_VARIANTS,
     EmbeddingMap,
     QubitSlot,
     embed_basis_state,
@@ -44,7 +41,7 @@ from .embedding import (
     read_out,
 )
 
-BACKENDS = ("reference", "qubit", "qutrit", "ququint")
+BACKENDS = ("reference",) + METHODS
 
 # qubit-level circuit steps: ("u", qubit, TwoLevelUnitary) or ("cnz",)
 Step = tuple
@@ -115,7 +112,7 @@ class GroverSpec:
                     f"iterations must be 'auto' or a positive integer, "
                     f"got {self.iterations!r}"
                 )
-        if self.odd_variant not in ("single", "neighbor"):
+        if self.odd_variant not in ODD_VARIANTS:
             raise ValueError(f"unknown odd variant {self.odd_variant!r}")
 
 
@@ -148,12 +145,7 @@ def _prepare_backend(n: int, method: str, odd_variant: str):
         register = QuditRegister((2,) * n)
         emap = EmbeddingMap(register, tuple((q, QubitSlot.SINGLE) for q in range(n)))
         return register, emap, None, 0
-    if method == "qubit":
-        result = decompose_cnz_qubit(n)
-    elif method == "qutrit":
-        result = decompose_cnz_qutrit(n)
-    else:
-        result = decompose_cnz_ququint(n, odd_variant)
+    result = decompose_cnz(DecompositionRequest(n, method, odd_variant))
     return (
         result.circuit.register,
         result.embedding,
@@ -171,10 +163,10 @@ def run_grover(spec: GroverSpec) -> GroverReport:
             would indicate a broken decomposition, not user error).
     """
     n = spec.n
-    k = auto_iterations(n) if spec.iterations == "auto" else int(spec.iterations)
     register, emap, cnz_gates, per_count = _prepare_backend(
         n, spec.method, spec.odd_variant
     )
+    k = auto_iterations(n) if spec.iterations == "auto" else int(spec.iterations)
     dims = register.dims
     arr = np.zeros(register.size, dtype=np.complex128)
     arr[0] = 1.0  # |0...0> embeds at level 0 on every site

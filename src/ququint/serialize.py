@@ -10,6 +10,7 @@ row-major)::
         "qubitCount": 5,
         "assignments": [[0, "a"], [0, "b"], [1, "a"], [1, "b"], [2, "single"]]
       },
+      "targetQubit": 4,
       "gates": [
         {"levelpair": {"site": 1, "i": 3, "j": 4, "u": [[[...], [...]], [[...], [...]]]}},
         {"cz": {"siteA": 1, "siteB": 2, "i": 4, "j": 1, "phase": [-1, 0]}}
@@ -17,8 +18,10 @@ row-major)::
     }
 
 The writer is canonical: fixed key order, floats at 17 significant digits,
-so save(load(text)) reproduces the input byte for byte. The loader is
-strict: unknown fields, missing fields, and unknown version numbers are all
+so save(load(text)) reproduces the input byte for byte. ``targetQubit`` is
+present only in documents of a controlled inversion and names its target;
+a document without it implements the phase gate. The loader is strict:
+unknown fields, missing fields, and unknown version numbers are all
 rejected, and every constructed object re-runs its own validation.
 """
 
@@ -42,10 +45,15 @@ DOCUMENT_VERSION = 1
 
 @dataclass
 class CircuitDocument:
-    """A circuit plus the optional embedding that interprets it."""
+    """A circuit plus the optional embedding that interprets it.
+
+    ``target_qubit`` is ``None`` for the phase gate; for a controlled
+    inversion it is the embedded qubit the circuit flips.
+    """
 
     circuit: QuditCircuit
     embedding: EmbeddingMap | None = None
+    target_qubit: int | None = None
 
     def __post_init__(self):
         if (
@@ -53,6 +61,11 @@ class CircuitDocument:
             and self.embedding.register != self.circuit.register
         ):
             raise ValueError("embedding and circuit use different registers")
+        if self.target_qubit is not None:
+            if self.embedding is None:
+                raise ValueError("a target qubit needs an embedding")
+            if not 0 <= self.target_qubit < self.embedding.qubit_count:
+                raise ValueError(f"target qubit {self.target_qubit} out of range")
 
 
 def _fmt_real(x) -> str:
@@ -97,6 +110,8 @@ def save_document(document: CircuitDocument) -> str:
         lines.append(f'    "qubitCount": {document.embedding.qubit_count},')
         lines.append(f'    "assignments": [{pairs}]')
         lines.append("  },")
+    if document.target_qubit is not None:
+        lines.append(f'  "targetQubit": {document.target_qubit},')
     if document.circuit.gates:
         lines.append('  "gates": [')
         gate_lines = [f"    {_gate_json(g)}" for g in document.circuit.gates]
@@ -183,7 +198,9 @@ def load_document(text: str) -> CircuitDocument:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed document: {exc}") from exc
-    _require_keys(data, {"version", "dims", "gates"}, optional={"embedding"})
+    _require_keys(
+        data, {"version", "dims", "gates"}, optional={"embedding", "targetQubit"}
+    )
     version = _as_int(data["version"], "version")
     if version != DOCUMENT_VERSION:
         raise ValueError(
@@ -220,4 +237,7 @@ def load_document(text: str) -> CircuitDocument:
         if _as_int(body["qubitCount"], "embedding.qubitCount") != len(assignments):
             raise ValueError("embedding.qubitCount disagrees with assignments")
         embedding = EmbeddingMap(register, tuple(assignments))
-    return CircuitDocument(circuit, embedding)
+    target = None
+    if "targetQubit" in data:
+        target = _as_int(data["targetQubit"], "targetQubit")
+    return CircuitDocument(circuit, embedding, target)

@@ -99,6 +99,27 @@ class TestVerify:
         assert code == 1
         assert "FAIL input=" in stdout
 
+    @pytest.mark.parametrize(
+        "n,method,variant",
+        [
+            (n, method, variant)
+            for n in range(2, 7)
+            for method in ("ququint", "qutrit", "qubit")
+            for variant in ("single", "neighbor")
+            if variant == "single" or (method == "ququint" and n % 2)
+        ],
+    )
+    def test_every_decomposed_document_verifies(self, tmp_path, capsys, n, method, variant):
+        out = tmp_path / "doc.json"
+        for target in ["z"] + [f"x:{k}" for k in range(n)]:
+            code, _, _ = run_cli(
+                capsys, "decompose", "--n", str(n), "--method", method,
+                "--odd-variant", variant, "--target", target, "--out", str(out),
+            )
+            assert code == 0
+            code, stdout, _ = run_cli(capsys, "verify", "--circuit", str(out), "--exhaustive")
+            assert (code, stdout.splitlines()[-1]) == (0, "PASS"), (target, stdout)
+
     def test_sampled_mode_on_large_n(self, capsys):
         code, stdout, _ = run_cli(capsys, "verify", "--n", "9", "--method", "qutrit")
         assert code == 0
@@ -197,6 +218,12 @@ class TestGrover:
         code, _, stderr = run_cli(capsys, "grover", "--n", "5", "--omega", "101")
         assert code == 2
         assert "error" in stderr
+
+    @pytest.mark.parametrize("n", [2049, 2150])
+    def test_oversized_n_is_usage_error(self, capsys, n):
+        code, _, stderr = run_cli(capsys, "grover", "--n", str(n), "--omega", "1" * n)
+        assert code == 2
+        assert stderr.startswith("error:")
 
 
 class TestCount:

@@ -122,9 +122,19 @@ class TestLevelPairGate:
         with pytest.raises(GateError):
             LevelPairGate(0, 3, 3, HADAMARD)
 
-    def test_non_unitary_rejected(self):
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            (1, 0, 0, 2),
+            (1, 0, 0, float("nan")),
+            (1, 0, 0, float("inf")),
+            (1, 1e-11, 0, 1),
+        ],
+        ids=["scaled", "nan", "inf", "off-diagonal"],
+    )
+    def test_non_unitary_rejected(self, entries):
         with pytest.raises(GateError):
-            TwoLevelUnitary(1, 0, 0, 2)
+            TwoLevelUnitary(*entries)
 
 
 class TestTwoQuditCZ:

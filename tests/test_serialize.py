@@ -15,9 +15,9 @@ from ququint import (
 )
 
 
-def sample_document():
+def sample_document(target_qubit=None):
     result = decompose_cnz_ququint(5, "single")
-    return CircuitDocument(result.circuit, result.embedding)
+    return CircuitDocument(result.circuit, result.embedding, target_qubit)
 
 
 class TestRoundTrip:
@@ -31,6 +31,14 @@ class TestRoundTrip:
         assert loaded.circuit.register == doc.circuit.register
         assert loaded.circuit.gates == doc.circuit.gates
         assert loaded.embedding == doc.embedding
+
+    def test_target_qubit_round_trips(self):
+        text = save_document(sample_document(target_qubit=4))
+        assert '  },\n  "targetQubit": 4,\n  "gates": [' in text
+        loaded = load_document(text)
+        assert loaded.target_qubit == 4
+        assert save_document(loaded) == text
+        assert "targetQubit" not in save_document(sample_document())
 
     def test_without_embedding(self):
         reg = QuditRegister((5, 5))
@@ -91,6 +99,16 @@ class TestStrictLoading:
         text = save_document(sample_document())
         with pytest.raises(ValueError, match="version"):
             load_document(text.replace('"version": 1', '"version": 2'))
+
+    def test_target_qubit_needs_embedding(self):
+        with pytest.raises(ValueError, match="embedding"):
+            load_document('{"version": 1, "dims": [5], "targetQubit": 0, "gates": []}')
+
+    @pytest.mark.parametrize("value", ["5", "-1", "true", "null"])
+    def test_bad_target_qubit_rejected(self, value):
+        text = save_document(sample_document(target_qubit=4))
+        with pytest.raises(ValueError, match="target"):
+            load_document(text.replace('"targetQubit": 4', f'"targetQubit": {value}'))
 
     def test_non_integer_version_rejected(self):
         with pytest.raises(ValueError):
