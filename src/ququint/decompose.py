@@ -31,9 +31,10 @@ phase, H again), so the two-particle tally is exactly the number of
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .core import (
     HADAMARD,
@@ -42,6 +43,7 @@ from .core import (
     QuditGate,
     QuditRegister,
     TwoQuditCZ,
+    _propagate_sparse,
     phase_shift,
 )
 from .embedding import (
@@ -105,6 +107,8 @@ def reported_count(method: str, n: int, odd_variant: str = "single") -> int:
     """
     if n < 2:
         raise ValueError(f"need at least two qubits, got n={n}")
+    if odd_variant not in ODD_VARIANTS:
+        raise ValueError(f"unknown odd variant {odd_variant!r}")
     if method == "qubit":
         return 1 if n == 2 else 12 * n - 23
     if method == "qutrit":
@@ -281,46 +285,25 @@ def decompose_cnz(request: DecompositionRequest) -> DecompositionResult:
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive verification. Ladder circuits keep basis inputs supported on a
-# handful of basis states at any moment, so the sweep propagates a sparse
-# index -> amplitude map instead of a dense vector. Tests cross-check this
-# applier against the dense one.
+# Exhaustive verification. Ladder circuits keep each basis input supported on
+# a handful of basis states at any moment, so the sweep never builds a dense
+# vector: it pushes a block of inputs through the circuit together as one
+# sparse table with a row per live amplitude, keyed by (input, flat index)
+# (``core._propagate_sparse``). Blocks of ``_BLOCK`` inputs bound the table,
+# and with it peak memory, whatever n is. Start and expected indices are
+# linear in the input bits, so they are computed for every input at once,
+# and per-input errors and leakage are reduced over the table's rows. Tests
+# cross-check the sparse propagator against the dense applier.
 # ---------------------------------------------------------------------------
 
-_PRUNE = 1e-16  # drop exactly-cancelled branches; far below any tolerance
+_BLOCK = 256  # inputs propagated together
 
 
 def _propagate_basis(
     register: QuditRegister, gates: list[QuditGate], start_index: int
 ) -> dict[int, complex]:
-    dims = register.dims
-    strides = register.strides
-    amps = {start_index: 1.0 + 0.0j}
-    for gate in gates:
-        if isinstance(gate, TwoQuditCZ):
-            sa, sb = strides[gate.site_a], strides[gate.site_b]
-            da, db = dims[gate.site_a], dims[gate.site_b]
-            for idx, a in amps.items():
-                if (idx // sa) % da == gate.i and (idx // sb) % db == gate.j:
-                    amps[idx] = a * gate.phase
-            continue
-        stride, dim = strides[gate.site], dims[gate.site]
-        u = gate.u
-        out: dict[int, complex] = {}
-        for idx, a in amps.items():
-            digit = (idx // stride) % dim
-            if digit == gate.i:
-                other = idx + (gate.j - gate.i) * stride
-                out[idx] = out.get(idx, 0.0) + u.alpha * a
-                out[other] = out.get(other, 0.0) + u.gamma * a
-            elif digit == gate.j:
-                other = idx - (gate.j - gate.i) * stride
-                out[other] = out.get(other, 0.0) + u.beta * a
-                out[idx] = out.get(idx, 0.0) + u.delta * a
-            else:
-                out[idx] = out.get(idx, 0.0) + a
-        amps = {idx: a for idx, a in out.items() if abs(a) > _PRUNE}
-    return amps
+    keys, amps = _propagate_sparse(register, gates, np.array([start_index]), np.ones(1))
+    return dict(zip(keys.tolist(), amps.tolist()))
 
 
 @dataclass
@@ -338,6 +321,36 @@ class VerificationReport:
         )
 
 
+def _block_scores(result, starts, expects, signs):
+    """Amplitude error and leakage of each input of one block, propagated
+    together from flat indices ``starts``; each input should end at
+    ``expects`` with amplitude ``signs``."""
+    register = result.circuit.register
+    count, size = len(starts), register.size
+    keys, amps = _propagate_sparse(
+        register, result.circuit.gates, np.arange(count) * size + starts, np.ones(count)
+    )
+    owner, index = np.divmod(keys, size)
+    hit = index == expects[owner]
+    wanted = np.where(hit, signs[owner], 0.0)
+    errors = np.zeros(count)
+    np.maximum.at(errors, owner, np.hypot(amps.real - wanted, amps.imag))
+    # an expected index that did not survive is a full miss
+    missed = np.ones(count, dtype=bool)
+    missed[owner[hit]] = False
+    errors[missed] = np.maximum(errors[missed], 1.0)
+    leaky = np.zeros(len(keys), dtype=bool)
+    for stride, dim, top in zip(
+        register.strides, register.dims, result.embedding.level_ceilings
+    ):
+        if top < dim - 1:
+            leaky |= (keys // stride) % dim > top
+    # float_power calls C pow, as abs(a) ** 2 on a Python float does
+    prob = np.float_power(np.hypot(amps.real, amps.imag), 2.0)
+    leaks = np.bincount(owner, weights=np.where(leaky, prob, 0.0), minlength=count)
+    return errors, leaks
+
+
 def verify_decomposition(
     result: DecompositionResult,
     target_qubit: int | None = None,
@@ -353,54 +366,65 @@ def verify_decomposition(
         bits_subset: Optional iterable of bitstrings to restrict the sweep.
 
     Returns:
-        Worst amplitude error, worst leakage probability, and the first
-        offending input if any error exceeds the state tolerance.
+        Worst amplitude error, worst leakage probability, and the last input
+        that raised either maximum while exceeding 1e-10, if any did.
     """
     emap = result.embedding
     n = emap.qubit_count
     register = result.circuit.register
-    gates = result.circuit.gates
-    ceilings = emap.level_ceilings
-    bystanders = (0, 1) if emap.bystander_sites else (0,)
+    if target_qubit is not None and not 0 <= target_qubit < n:
+        raise ValueError(f"target qubit {target_qubit} out of range")
     if bits_subset is None:
-        inputs = itertools.product((0, 1), repeat=n)
+        # every bitstring in counting order, qubit 0 the most significant
+        bits = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
     else:
-        inputs = [tuple(int(b) for b in bits) for bits in bits_subset]
-    max_err = 0.0
-    max_leak = 0.0
+        rows = [[int(b) for b in bitstring] for bitstring in bits_subset]
+        for row in rows:
+            if len(row) != n or not set(row) <= {0, 1}:
+                raise ValueError(f"expected {n} bits of 0 or 1, got {row}")
+        bits = np.array(rows, dtype=np.int64).reshape(len(rows), n)
+
+    # the embedding is linear in the bits: index = bits . weights plus the
+    # bystander bit times its own weight
+    weights = np.array([
+        register.index(embed_basis_state([int(q == k) for q in range(n)], emap))
+        for k in range(n)
+    ])
+    bystanders = (0, 1) if emap.bystander_sites else (0,)
+    bystander_weight = register.index(embed_basis_state([0] * n, emap, 1))
+    if target_qubit is None:
+        flips = np.zeros(len(bits), dtype=np.int64)
+        signs = np.where(bits.all(axis=1), -1.0, 1.0)
+    else:
+        controls = np.delete(bits, target_qubit, axis=1).all(axis=1)
+        step = (1 - 2 * bits[:, target_qubit]) * weights[target_qubit]
+        flips = np.where(controls, step, 0)
+        signs = np.ones(len(bits))
+    # one entry per (input, bystander), bystander innermost
+    starts = ((bits @ weights)[:, None] + np.array(bystanders) * bystander_weight).ravel()
+    expects = starts + np.repeat(flips, len(bystanders))
+    signs = np.repeat(signs, len(bystanders))
+
+    errors, leaks = np.zeros(len(starts)), np.zeros(len(starts))
+    for lo in range(0, len(starts), _BLOCK):
+        block = slice(lo, lo + _BLOCK)
+        errors[block], leaks[block] = _block_scores(
+            result, starts[block], expects[block], signs[block]
+        )
+
+    # the worst input is the last one that raised a running maximum while
+    # exceeding 1e-10
+    prev_err = np.maximum.accumulate(np.concatenate(([0.0], errors)))[:-1]
+    prev_leak = np.maximum.accumulate(np.concatenate(([0.0], leaks)))[:-1]
+    raised = ((errors > prev_err) | (leaks > prev_leak)) & (
+        (errors >= 1e-10) | (leaks >= 1e-10)
+    )
     worst = None
-    checked = 0
-    for bits in inputs:
-        for bystander in bystanders:
-            start = register.index(embed_basis_state(bits, emap, bystander))
-            amps = _propagate_basis(register, gates, start)
-            checked += 1
-            if target_qubit is None:
-                out_bits = bits
-                sign = -1.0 if all(bits) else 1.0
-            else:
-                controls = all(b for q, b in enumerate(bits) if q != target_qubit)
-                out_bits = tuple(
-                    b ^ 1 if (q == target_qubit and controls) else b
-                    for q, b in enumerate(bits)
-                )
-                sign = 1.0
-            expect_idx = register.index(embed_basis_state(out_bits, emap, bystander))
-            err = 0.0
-            leak = 0.0
-            for idx, a in amps.items():
-                expected = sign if idx == expect_idx else 0.0
-                err = max(err, abs(a - expected))
-                if any(d > top for d, top in zip(register.label(idx), ceilings)):
-                    leak += abs(a) ** 2
-            if expect_idx not in amps:
-                err = max(err, 1.0)
-            if (err > max_err or leak > max_leak) and (
-                err >= 1e-10 or leak >= 1e-10
-            ):
-                worst = "".join(str(b) for b in bits) + (
-                    f"+bystander{bystander}" if emap.bystander_sites else ""
-                )
-            max_err = max(max_err, err)
-            max_leak = max(max_leak, leak)
-    return VerificationReport(max_err, max_leak, checked, worst)
+    if raised.any():
+        row, bystander = divmod(int(np.flatnonzero(raised)[-1]), len(bystanders))
+        worst = "".join(str(b) for b in bits[row].tolist()) + (
+            f"+bystander{bystander}" if emap.bystander_sites else ""
+        )
+    return VerificationReport(
+        float(errors.max(initial=0.0)), float(leaks.max(initial=0.0)), len(starts), worst
+    )

@@ -131,7 +131,7 @@ class GroverReport:
     distribution: dict[str, float]
 
 
-_SIZE_LIMIT = {"reference": 12, "qubit": 12, "qutrit": 10, "ququint": 10}
+_SIZE_LIMIT = {"reference": 12, "qubit": 10, "qutrit": 10, "ququint": 10}
 
 
 def _prepare_backend(n: int, method: str, odd_variant: str):

@@ -225,6 +225,15 @@ class TestGrover:
         assert code == 2
         assert stderr.startswith("error:")
 
+    def test_qubit_beyond_size_limit_is_usage_error(self, capsys):
+        # the dense qubit backend spans 2^(2n-2) amplitudes: n=11 would run
+        # for minutes, so it is refused before anything is compiled
+        code, _, stderr = run_cli(
+            capsys, "grover", "--n", "11", "--omega", "1" * 11, "--method", "qubit"
+        )
+        assert code == 2
+        assert "supports n <= 10" in stderr
+
 
 class TestCount:
     def test_csv_rows(self, capsys):

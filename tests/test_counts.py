@@ -49,6 +49,12 @@ class TestCountTable:
                 assert row.ququint_per == reported_count("ququint", row.n, variant)
                 assert row.iterations == auto_iterations(row.n)
 
+    @pytest.mark.parametrize("n", [9, 11])
+    def test_unknown_variant_rejected(self, n):
+        # n=9 is compiled and cross-checked, n=11 only looked up
+        with pytest.raises(ValueError, match="odd variant"):
+            count_table(n, n, "bogus")
+
     def test_neighbor_variant_changes_odd_rows(self):
         single = {r.n: r.ququint_per for r in count_table(2, 9).rows}
         neighbor = {r.n: r.ququint_per for r in count_table(2, 9, "neighbor").rows}

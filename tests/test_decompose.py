@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from ququint import (
+    PAULI_X,
+    PAULI_Z,
     DecompositionRequest,
+    DecompositionResult,
     LevelPairGate,
     QuditCircuit,
     QuditRegister,
@@ -22,7 +25,7 @@ from ququint import (
     to_cnx,
     verify_decomposition,
 )
-from ququint.decompose import _propagate_basis
+from ququint.decompose import T_GATE, _propagate_basis
 
 
 def controlled_swap_matrix(register, ctl, tgt, i, k, level_l):
@@ -271,6 +274,11 @@ class TestCounts:
             assert reported_count("ququint", n, "single") == n - 2
             assert reported_count("ququint", n, "neighbor") == n - 1
 
+    @pytest.mark.parametrize("method", ["ququint", "qutrit", "qubit"])
+    def test_unknown_variant_rejected(self, method):
+        with pytest.raises(ValueError, match="odd variant"):
+            reported_count(method, 11, "bogus")
+
     @pytest.mark.parametrize("n", range(2, 11))
     def test_construction_matches_closed_form(self, n):
         assert decompose_cnz_qubit(n).two_particle_gate_count == reported_count("qubit", n)
@@ -344,3 +352,100 @@ class TestRequestValidation:
         for method in ("ququint", "qutrit", "qubit"):
             result = decompose_cnz(DecompositionRequest(4, method))
             assert result.two_particle_gate_count == reported_count(method, 4)
+
+
+def with_gates(result, gates):
+    """The same compiled result with its gate list replaced."""
+    return DecompositionResult(
+        QuditCircuit(result.circuit.register, gates),
+        result.embedding,
+        result.two_particle_gate_count,
+        result.ancilla_systems,
+    )
+
+
+def without_centre(result):
+    gates = result.circuit.gates
+    lo, hi = central_cz_span(gates)
+    return with_gates(result, gates[:lo] + gates[hi:])
+
+
+class TestVerificationFailures:
+    """Exact report fields of circuits that must FAIL."""
+
+    def test_qutrit_without_central_phase(self):
+        report = verify_decomposition(without_centre(decompose_cnz_qutrit(9)))
+        assert abs(report.max_amplitude_error - 2) < 1e-12
+        assert report.max_leakage == 0
+        assert report.inputs_checked == 512
+        assert report.worst_input == "111111111"
+        assert not report.passed()
+
+    def test_ququint_neighbor_without_central_phases(self):
+        result = decompose_cnz_ququint(9, "neighbor")
+        lo, hi = central_cz_span(result.circuit.gates)
+        assert hi - lo == 2
+        report = verify_decomposition(without_centre(result))
+        assert abs(report.max_amplitude_error - 2) < 1e-12
+        assert report.inputs_checked == 1024
+        assert report.worst_input == "111111111+bystander0"
+
+    @pytest.mark.parametrize("qubit", range(4))
+    def test_qubit_t_swapped_for_dagger(self, qubit):
+        # every gate on a control site is diagonal there, so T -> T^dagger
+        # commutes out as diag(1, -i): error |(-i) - 1| on inputs with it at 1
+        result = decompose_cnz_qubit(5)
+        gates = list(result.circuit.gates)
+        pick = next(
+            i for i, g in enumerate(gates)
+            if isinstance(g, LevelPairGate) and g.site == qubit and g.u == T_GATE
+        )
+        gates[pick] = gates[pick].dagger()
+        report = verify_decomposition(with_gates(result, gates))
+        assert abs(report.max_amplitude_error - np.sqrt(2)) < 1e-12
+        assert report.inputs_checked == 32
+        assert report.worst_input[qubit] == "1"
+        assert not report.passed()
+
+    def test_leaking_work_site(self):
+        # a final X leaves the first work site at level 1 on every input
+        result = decompose_cnz_qubit(4)
+        leak = LevelPairGate(4, 0, 1, PAULI_X)
+        report = verify_decomposition(with_gates(result, result.circuit.gates + [leak]))
+        assert abs(report.max_leakage - 1) < 1e-12
+        assert abs(report.max_amplitude_error - 1) < 1e-12
+        assert report.inputs_checked == 16
+        assert report.worst_input == "1100"
+
+    @pytest.mark.parametrize("subset,worst", [
+        (["11", "00", "10"], "11"),
+        (["10", "11"], "10"),
+        (["01", "00"], None),
+    ])
+    def test_bits_subset_order(self, subset, worst):
+        # Z on qubit 0 after the ladder: inputs 10 and 11 are off by exactly 2,
+        # and the first of two equal errors is the one reported
+        result = decompose_cnz_qutrit(2)
+        flip = LevelPairGate(0, 0, 1, PAULI_Z)
+        report = verify_decomposition(
+            with_gates(result, result.circuit.gates + [flip]), bits_subset=subset
+        )
+        assert report.inputs_checked == len(subset)
+        assert report.worst_input == worst
+        assert report.max_amplitude_error == (2.0 if worst else 0.0)
+
+    def test_bits_subset_counts_bystanders(self):
+        result = decompose_cnz_ququint(3, "neighbor")
+        report = verify_decomposition(result, bits_subset=["111", "010"])
+        assert report.inputs_checked == 4
+        assert report.passed()
+
+    @pytest.mark.parametrize("target", [-1, 2])
+    def test_target_out_of_range_rejected(self, target):
+        with pytest.raises(ValueError, match="target qubit"):
+            verify_decomposition(decompose_cnz_qutrit(2), target_qubit=target)
+
+    @pytest.mark.parametrize("subset", [["1"], ["102"], ["11", "1"]])
+    def test_bits_subset_rejects_malformed(self, subset):
+        with pytest.raises(ValueError):
+            verify_decomposition(decompose_cnz_qutrit(2), bits_subset=subset)
