@@ -24,9 +24,8 @@ from .decompose import (
 )
 from .embedding import ODD_VARIANTS, decode_basis_label, embed_basis_state, read_out
 from .grover import BACKENDS, GroverSpec, run_grover
-from .serialize import CircuitDocument, load_document, save_document
+from .serialize import CircuitDocument, _as_pair, _parse_json, load_document, save_document
 
-VERIFY_TOL = 1e-10
 _SAMPLE_INPUTS = 64  # non-exhaustive verify checks this many basis inputs
 
 
@@ -100,7 +99,7 @@ def cmd_verify(args) -> int:
         f"max_amplitude_error={report.max_amplitude_error:.3e} "
         f"max_leakage={report.max_leakage:.3e}"
     )
-    if report.passed(VERIFY_TOL, VERIFY_TOL):
+    if report.passed():
         print("PASS")
         return 0
     print(f"FAIL input={report.worst_input}")
@@ -116,11 +115,11 @@ def _initial_state(args, document: CircuitDocument) -> StateVector:
             digits = [int(c) for c in args.input]
             label = tuple(digits)
         return StateVector.basis_state(register, label)
-    payload = json.loads(Path(args.state).read_text(encoding="utf-8"))
-    if not isinstance(payload, dict) or "amplitudes" not in payload:
+    payload = _parse_json(Path(args.state).read_text(encoding="utf-8"), "state file")
+    if not isinstance(payload, dict) or not isinstance(payload.get("amplitudes"), list):
         raise ValueError('state file must be a JSON object with an "amplitudes" list')
-    amps = [complex(re, im) for re, im in payload["amplitudes"]]
-    return StateVector(register, np.asarray(amps))
+    amps = [_as_pair(z, "state file amplitude") for z in payload["amplitudes"]]
+    return StateVector(register, amps)
 
 
 def cmd_simulate(args) -> int:

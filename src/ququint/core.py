@@ -169,11 +169,11 @@ class TwoLevelUnitary:
         for name in ("alpha", "beta", "gamma", "delta"):
             object.__setattr__(self, name, complex(getattr(self, name)))
         a, b, c, d = self.alpha, self.beta, self.gamma, self.delta
-        # the independent entries of U^dagger U - I; written as "<= tol"
-        # so that NaN and inf fail the check
+        # the independent entries of U^dagger U - I, with |z|^2 as (z z*).real
+        # (abs(z) ** 2 can raise OverflowError); "<= tol" fails NaN and inf
         if not (
-            abs(abs(a) ** 2 + abs(c) ** 2 - 1.0) <= MATRIX_TOL
-            and abs(abs(b) ** 2 + abs(d) ** 2 - 1.0) <= MATRIX_TOL
+            abs((a * a.conjugate() + c * c.conjugate()).real - 1.0) <= MATRIX_TOL
+            and abs((b * b.conjugate() + d * d.conjugate()).real - 1.0) <= MATRIX_TOL
             and abs(a.conjugate() * b + c.conjugate() * d) <= MATRIX_TOL
         ):
             raise GateError("2x2 matrix is not unitary")
@@ -266,7 +266,11 @@ class TwoQuditCZ:
             raise GateError("site indices must be non-negative")
         if min(self.i, self.j) < 0:
             raise GateError("levels must be non-negative")
-        if abs(abs(self.phase) - 1.0) > MATRIX_TOL:
+        try:
+            unit = abs(abs(self.phase) - 1.0) <= MATRIX_TOL  # False for NaN
+        except OverflowError:  # abs() of a complex beyond the float range
+            unit = False
+        if not unit:
             raise GateError(f"phase must have unit modulus, got {self.phase}")
 
     def dagger(self) -> "TwoQuditCZ":
@@ -432,19 +436,6 @@ def apply_circuit(state: StateVector, circuit: QuditCircuit) -> StateVector:
 _PRUNE = 1e-16  # drop exactly-cancelled branches; far below any tolerance
 
 
-def _scaled(amps: np.ndarray, c: complex) -> np.ndarray:
-    # Python's scalar complex product, term by term; numpy's complex-by-
-    # complex multiply may fuse operations and differ in the last bit, which
-    # would let near-equal errors of different inputs trade places (its
-    # complex-by-real multiply is exact and faster)
-    if c.imag == 0:
-        return amps * c.real
-    out = np.empty_like(amps)
-    out.real = amps.real * c.real - amps.imag * c.imag
-    out.imag = amps.real * c.imag + amps.imag * c.real
-    return out
-
-
 def _propagate_sparse(
     register: QuditRegister, gates: list[QuditGate], keys: np.ndarray, amps: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -462,29 +453,25 @@ def _propagate_sparse(
             hit = ((keys // strides[gate.site_a]) % dims[gate.site_a] == gate.i) & (
                 (keys // strides[gate.site_b]) % dims[gate.site_b] == gate.j
             )
-            amps[hit] = _scaled(amps[hit], gate.phase)
+            amps[hit] *= gate.phase
             continue
         stride, u = strides[gate.site], gate.u
         digit = (keys // stride) % dims[gate.site]
         on_i, on_j = digit == gate.i, digit == gate.j
         if u.beta == 0 and u.gamma == 0:
             if u.alpha != 1:
-                amps[on_i] = _scaled(amps[on_i], u.alpha)
+                amps[on_i] *= u.alpha
             if u.delta != 1:
-                amps[on_j] = _scaled(amps[on_j], u.delta)
+                amps[on_j] *= u.delta
             continue
         shift = (gate.j - gate.i) * stride
         rest = ~(on_i | on_j)
         key_i, key_j = keys[on_i], keys[on_j]
         amp_i, amp_j = amps[on_i], amps[on_j]
         keys = np.concatenate((keys[rest], key_i, key_i + shift, key_j - shift, key_j))
-        amps = np.concatenate((
-            amps[rest],
-            _scaled(amp_i, u.alpha),
-            _scaled(amp_i, u.gamma),
-            _scaled(amp_j, u.beta),
-            _scaled(amp_j, u.delta),
-        ))
+        amps = np.concatenate(
+            (amps[rest], amp_i * u.alpha, amp_i * u.gamma, amp_j * u.beta, amp_j * u.delta)
+        )
         order = np.argsort(keys, kind="stable")  # radix sort on int keys
         keys, amps = keys[order], amps[order]
         # a key occurs at most twice: a row's own term and its partner's
@@ -492,7 +479,7 @@ def _propagate_sparse(
         np.not_equal(keys[1:], keys[:-1], out=first[1:])
         first = np.flatnonzero(first)
         keys, amps = keys[first], np.add.reduceat(amps, first)
-        keep = np.hypot(amps.real, amps.imag) > _PRUNE  # Python's abs
+        keep = np.abs(amps) > _PRUNE
         keys, amps = keys[keep], amps[keep]
     return keys, amps
 

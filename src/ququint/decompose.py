@@ -38,6 +38,7 @@ import numpy as np
 
 from .core import (
     HADAMARD,
+    STATE_TOL,
     LevelPairGate,
     QuditCircuit,
     QuditGate,
@@ -308,17 +309,21 @@ def _propagate_basis(
 
 @dataclass
 class VerificationReport:
-    """Worst-case deviation of a compiled circuit from its specification."""
+    """Worst-case deviation of a compiled circuit from its specification.
+
+    ``worst_input`` is the first input, in sweep order, whose larger of
+    amplitude error and leakage is within ``STATE_TOL`` of the largest over
+    all inputs; it is ``None`` exactly when the circuit passed.
+    """
 
     max_amplitude_error: float
     max_leakage: float
     inputs_checked: int
     worst_input: str | None
 
-    def passed(self, amplitude_tol: float = 1e-10, leakage_tol: float = 1e-10) -> bool:
-        return (
-            self.max_amplitude_error < amplitude_tol and self.max_leakage < leakage_tol
-        )
+    def passed(self) -> bool:
+        """Amplitude error and leakage both below ``STATE_TOL`` on every input."""
+        return self.max_amplitude_error < STATE_TOL and self.max_leakage < STATE_TOL
 
 
 def _block_scores(result, starts, expects, signs):
@@ -334,7 +339,7 @@ def _block_scores(result, starts, expects, signs):
     hit = index == expects[owner]
     wanted = np.where(hit, signs[owner], 0.0)
     errors = np.zeros(count)
-    np.maximum.at(errors, owner, np.hypot(amps.real - wanted, amps.imag))
+    np.maximum.at(errors, owner, np.abs(amps - wanted))
     # an expected index that did not survive is a full miss
     missed = np.ones(count, dtype=bool)
     missed[owner[hit]] = False
@@ -345,9 +350,8 @@ def _block_scores(result, starts, expects, signs):
     ):
         if top < dim - 1:
             leaky |= (keys // stride) % dim > top
-    # float_power calls C pow, as abs(a) ** 2 on a Python float does
-    prob = np.float_power(np.hypot(amps.real, amps.imag), 2.0)
-    leaks = np.bincount(owner, weights=np.where(leaky, prob, 0.0), minlength=count)
+    prob = np.where(leaky, np.abs(amps) ** 2, 0.0)
+    leaks = np.bincount(owner, weights=prob, minlength=count)
     return errors, leaks
 
 
@@ -366,8 +370,8 @@ def verify_decomposition(
         bits_subset: Optional iterable of bitstrings to restrict the sweep.
 
     Returns:
-        Worst amplitude error, worst leakage probability, and the last input
-        that raised either maximum while exceeding 1e-10, if any did.
+        Worst amplitude error, worst leakage probability, and the worst input
+        (bystander innermost in sweep order), as :class:`VerificationReport`.
     """
     emap = result.embedding
     n = emap.qubit_count
@@ -412,19 +416,14 @@ def verify_decomposition(
             result, starts[block], expects[block], signs[block]
         )
 
-    # the worst input is the last one that raised a running maximum while
-    # exceeding 1e-10
-    prev_err = np.maximum.accumulate(np.concatenate(([0.0], errors)))[:-1]
-    prev_leak = np.maximum.accumulate(np.concatenate(([0.0], leaks)))[:-1]
-    raised = ((errors > prev_err) | (leaks > prev_leak)) & (
-        (errors >= 1e-10) | (leaks >= 1e-10)
+    report = VerificationReport(
+        float(errors.max(initial=0.0)), float(leaks.max(initial=0.0)), len(starts), None
     )
-    worst = None
-    if raised.any():
-        row, bystander = divmod(int(np.flatnonzero(raised)[-1]), len(bystanders))
-        worst = "".join(str(b) for b in bits[row].tolist()) + (
+    if not report.passed():
+        scores = np.maximum(errors, leaks)
+        first = int(np.argmax(scores >= scores.max() - STATE_TOL))
+        row, bystander = divmod(first, len(bystanders))
+        report.worst_input = "".join(str(b) for b in bits[row].tolist()) + (
             f"+bystander{bystander}" if emap.bystander_sites else ""
         )
-    return VerificationReport(
-        float(errors.max(initial=0.0)), float(leaks.max(initial=0.0)), len(starts), worst
-    )
+    return report

@@ -27,6 +27,7 @@ import numpy as np
 from .core import (
     HADAMARD,
     PAULI_X,
+    STATE_TOL,
     DimensionTooLargeError,
     QuditRegister,
     _apply_gate_inplace,
@@ -192,7 +193,7 @@ def run_grover(spec: GroverSpec) -> GroverReport:
             apply_step(step)
 
     readout = read_out(np.abs(arr) ** 2, emap)
-    if readout.leakage > 1e-10:
+    if readout.leakage > STATE_TOL:
         raise RuntimeError(
             f"leakage {readout.leakage} after a {spec.method} run; the "
             "decomposition failed to restore its working levels"

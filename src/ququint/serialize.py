@@ -21,12 +21,13 @@ The writer is canonical: fixed key order, floats at 17 significant digits,
 so save(load(text)) reproduces the input byte for byte. ``targetQubit`` is
 present only in documents of a controlled inversion and names its target;
 a document without it implements the phase gate. The loader is strict:
-unknown fields, missing fields, and unknown version numbers are all
-rejected, and every constructed object re-runs its own validation.
+unknown fields, missing fields, unknown versions and non-finite numbers
+are all rejected, and every constructed object re-runs its own validation.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -145,10 +146,25 @@ def _as_pair(value, where: str) -> complex:
     if (
         not isinstance(value, list)
         or len(value) != 2
-        or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in value)
+        or type(value[0]) not in (int, float)  # exact types, so bool fails
+        or type(value[1]) not in (int, float)
     ):
         raise ValueError(f"{where} must be a [re, im] pair, got {value!r}")
-    return complex(value[0], value[1])
+    try:
+        z = complex(value[0], value[1])
+    except OverflowError:
+        raise ValueError(f"{where} is beyond the float range") from None
+    if not cmath.isfinite(z):
+        raise ValueError(f"{where} must be finite, got {value!r}")
+    return z
+
+
+def _parse_json(text: str, what: str):
+    """json.loads, with every failure (deep nesting included) a ValueError."""
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ValueError(f"malformed {what}: {exc}") from exc
 
 
 def _parse_gate(entry, index: int):
@@ -194,10 +210,7 @@ def load_document(text: str) -> CircuitDocument:
         ValueError: Malformed JSON, schema violations, unsupported version,
             or any gate/embedding that fails its own invariants.
     """
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed document: {exc}") from exc
+    data = _parse_json(text, "document")
     _require_keys(
         data, {"version", "dims", "gates"}, optional={"embedding", "targetQubit"}
     )

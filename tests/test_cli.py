@@ -186,6 +186,46 @@ class TestSimulate:
         assert code == 2
 
 
+def cz_document(phase: str) -> str:
+    return (
+        '{"version": 1, "dims": [2, 2], "gates": [{"cz": {"siteA": 0, "siteB": 1, '
+        f'"i": 1, "j": 1, "phase": {phase}}}}}]}}'
+    )
+
+
+class TestOutsideInput:
+    """Malformed files are usage errors (exit 2), never tracebacks."""
+
+    @pytest.mark.parametrize("document,state", [
+        pytest.param(
+            '{"version": 1, "dims": [2], "gates": [{"levelpair": {"site": 0, "i": 0, '
+            '"j": 1, "u": [[[1e308, 1e308], [0, 0]], [[0, 0], [1, 0]]]}}]}',
+            None, id="unitary-entry-overflow",
+        ),
+        pytest.param(cz_document("[1" + "0" * 400 + ", 0]"), None, id="int-beyond-float"),
+        pytest.param(cz_document("[1.7e308, 1.7e308]"), None, id="phase-modulus-overflow"),
+        pytest.param(cz_document("[NaN, 0]"), None, id="nan-phase"),
+        pytest.param("[" * 100_000 + "]" * 100_000, None, id="nested-document"),
+        pytest.param(cz_document("[-1, 0]"), '{"amplitudes": 5}', id="amplitudes-number"),
+        pytest.param(cz_document("[-1, 0]"), '{"amplitudes": ["ab"]}', id="amplitude-string"),
+        pytest.param(cz_document("[-1, 0]"), '{"amplitudes": [[null, 0]]}', id="amplitude-null"),
+        pytest.param(
+            cz_document("[-1, 0]"), '{"amplitudes": ' + "[" * 100_000 + "]" * 100_000 + "}",
+            id="nested-state",
+        ),
+    ])
+    def test_rejected_with_message(self, tmp_path, capsys, document, state):
+        doc = tmp_path / "doc.json"
+        doc.write_text(document)
+        source = ["--input", "11"]
+        if state is not None:
+            (tmp_path / "state.json").write_text(state)
+            source = ["--state", str(tmp_path / "state.json")]
+        code, _, stderr = run_cli(capsys, "simulate", str(doc), *source, "--probs")
+        assert code == 2
+        assert stderr.startswith("error: ")
+
+
 class TestGrover:
     def test_fig3_instance(self, capsys):
         code, stdout, _ = run_cli(

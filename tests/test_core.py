@@ -164,6 +164,13 @@ class TestTwoQuditCZ:
         with pytest.raises(GateError):
             TwoQuditCZ(0, 1, 0, 0, phase=0.5)
 
+    @pytest.mark.parametrize(
+        "phase", [float("nan"), complex(1.7e308, 1.7e308)], ids=["nan", "overflow"]
+    )
+    def test_nan_or_overflowing_phase_rejected(self, phase):
+        with pytest.raises(GateError):
+            TwoQuditCZ(0, 1, 0, 0, phase=phase)
+
     def test_site_order_irrelevant(self):
         rng = np.random.default_rng(3)
         state = random_state(rng, Q2)

@@ -415,7 +415,7 @@ class TestVerificationFailures:
         assert abs(report.max_leakage - 1) < 1e-12
         assert abs(report.max_amplitude_error - 1) < 1e-12
         assert report.inputs_checked == 16
-        assert report.worst_input == "1100"
+        assert report.worst_input == "0000"
 
     @pytest.mark.parametrize("subset,worst", [
         (["11", "00", "10"], "11"),

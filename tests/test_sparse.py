@@ -1,4 +1,6 @@
-"""Property tests: the sparse basis propagator against the dense applier."""
+"""Property tests on random mixed-radix circuits: the sparse basis
+propagator, the dense stride applier and the Kronecker matrices agree, and
+documents round-trip byte for byte."""
 
 import cmath
 
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from ququint import (
     HADAMARD,
     PAULI_X,
+    CircuitDocument,
     LevelPairGate,
     QuditCircuit,
     QuditRegister,
@@ -16,6 +19,9 @@ from ququint import (
     TwoLevelUnitary,
     TwoQuditCZ,
     apply_circuit,
+    circuit_unitary,
+    load_document,
+    save_document,
 )
 from ququint.core import STATE_TOL, _propagate_sparse
 from ququint.decompose import _propagate_basis
@@ -85,3 +91,16 @@ def test_sparse_propagation_matches_dense(circuit):
         for index, amp in _propagate_basis(register, circuit.gates, start).items():
             single[index] = amp
         assert np.max(np.abs(single - dense[:, start])) < STATE_TOL
+
+
+@given(circuits())
+def test_dense_applier_matches_kronecker_matrices(circuit):
+    assert np.max(np.abs(dense_columns(circuit) - circuit_unitary(circuit))) < STATE_TOL
+
+
+@given(circuits())
+def test_document_round_trip_is_byte_stable(circuit):
+    text = save_document(CircuitDocument(circuit))
+    loaded = load_document(text)
+    assert loaded.circuit == circuit  # 17 significant digits reload every float exactly
+    assert save_document(loaded) == text
