@@ -130,7 +130,7 @@ class StateVector:
                 f"amplitude array has shape {arr.shape}, register size is {register.size}"
             )
         norm = np.linalg.norm(arr)
-        if abs(norm - 1.0) > 1e-8:
+        if not abs(norm - 1.0) <= 1e-8:  # fails a NaN norm too
             raise ValueError(f"state vector is not normalized (norm {norm})")
         self.amplitudes = arr
 

@@ -251,8 +251,7 @@ class QubitReadout:
         return max(self.probabilities, key=lambda k: self.probabilities[k])
 
 
-def _site_digits(register: QuditRegister) -> list[np.ndarray]:
-    idx = np.arange(register.size)
+def _site_digits(register: QuditRegister, idx: np.ndarray) -> list[np.ndarray]:
     return [
         (idx // stride) % dim for stride, dim in zip(register.strides, register.dims)
     ]
@@ -262,7 +261,8 @@ def read_out(probabilities: np.ndarray, emap: EmbeddingMap) -> QubitReadout:
     """Marginalize register outcome probabilities to qubit bitstrings.
 
     Bystander bits are summed over; probability on any non-computational
-    configuration is returned as leakage.
+    configuration is returned as leakage. Only the nonzero entries are
+    decoded, so the cost follows the live support, not the register size.
     """
     probs = np.asarray(probabilities, dtype=float)
     if probs.shape != (emap.register.size,):
@@ -270,16 +270,18 @@ def read_out(probabilities: np.ndarray, emap: EmbeddingMap) -> QubitReadout:
             f"probability vector has shape {probs.shape}, register size is "
             f"{emap.register.size}"
         )
-    digits = _site_digits(emap.register)
+    live = np.flatnonzero(probs)
+    probs = probs[live]
+    digits = _site_digits(emap.register, live)
     n = emap.qubit_count
-    out_index = np.zeros(emap.register.size, dtype=np.int64)
+    out_index = np.zeros(len(live), dtype=np.int64)
     for q, (site, slot) in enumerate(emap.assignments):
         if slot is QubitSlot.A:
             bit = digits[site] // 2
         else:
             bit = digits[site] % 2
         out_index |= (bit.astype(np.int64) & 1) << (n - 1 - q)
-    mask = np.ones(emap.register.size, dtype=bool)
+    mask = np.ones(len(live), dtype=bool)
     for digit, top in zip(digits, emap.level_ceilings):
         mask &= digit <= top
     table = np.bincount(out_index[mask], weights=probs[mask], minlength=2**n)

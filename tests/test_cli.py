@@ -266,13 +266,22 @@ class TestGrover:
         assert stderr.startswith("error:")
 
     def test_qubit_beyond_size_limit_is_usage_error(self, capsys):
-        # the dense qubit backend spans 2^(2n-2) amplitudes: n=11 would run
-        # for minutes, so it is refused before anything is compiled
+        # the qubit backend's sparse table takes about half a minute at
+        # n=12; n=13 is refused before anything is compiled
         code, _, stderr = run_cli(
-            capsys, "grover", "--n", "11", "--omega", "1" * 11, "--method", "qubit"
+            capsys, "grover", "--n", "13", "--omega", "1" * 13, "--method", "qubit"
         )
         assert code == 2
-        assert "supports n <= 10" in stderr
+        assert "supports n <= 12" in stderr
+
+    @pytest.mark.parametrize("n,count", [(2, 4), (10, 52), (10, 10**9)])
+    def test_iterations_beyond_one_period_are_usage_error(self, capsys, n, count):
+        code, stdout, stderr = run_cli(
+            capsys, "grover", "--n", str(n), "--omega", "1" * n,
+            "--method", "qubit", "--iterations", str(count),
+        )
+        assert code == 2 and stdout == ""
+        assert stderr.startswith("error: iterations must be at most")
 
 
 class TestCount:

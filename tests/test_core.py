@@ -78,6 +78,11 @@ class TestRegister:
         with pytest.raises(RegisterMismatchError):
             StateVector(Q1, np.zeros(4))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_state_rejects_non_finite_norm(self, bad):
+        with pytest.raises(ValueError, match="not normalized"):
+            StateVector(QuditRegister((2,)), [bad, 0])
+
 
 class TestLevelPairGate:
     def test_z03_flips_level_three(self):

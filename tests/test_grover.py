@@ -4,14 +4,25 @@ import numpy as np
 import pytest
 
 from ququint import (
+    HADAMARD,
+    DecompositionRequest,
     DimensionTooLargeError,
     GroverSpec,
+    LevelPairGate,
     QubitSlot,
+    QuditCircuit,
     auto_iterations,
     build_diffusion,
     build_oracle,
+    circuit_unitary,
+    decompose_cnz,
+    embed_basis_state,
+    read_out,
     run_grover,
 )
+from ququint import grover
+from ququint.core import STATE_TOL
+from ququint.grover import BACKENDS
 
 
 def analytic_success(n, k):
@@ -46,6 +57,15 @@ class TestAutoIterations:
         assert auto_iterations(3) >= 1
         with pytest.raises(ValueError):
             auto_iterations(1)
+
+    @pytest.mark.parametrize("n,bound", [(2, 3), (5, 9), (8, 26), (10, 51), (12, 101)])
+    def test_explicit_counts_bounded_by_one_period(self, n, bound):
+        assert grover._max_iterations(n) == bound
+        assert 2 * auto_iterations(n) <= bound <= 2 * auto_iterations(n) + 2
+        GroverSpec(n, "1" * n, "qubit", iterations=bound)
+        for count in (bound + 1, 10**9):
+            with pytest.raises(ValueError, match=f"at most {bound} "):
+                GroverSpec(n, "1" * n, "qubit", iterations=count)
 
 
 class TestOracle:
@@ -167,6 +187,8 @@ class TestRunGrover:
             run_grover(GroverSpec(11, "1" * 11, "ququint"))
         with pytest.raises(DimensionTooLargeError):
             run_grover(GroverSpec(13, "1" * 13, "reference"))
+        with pytest.raises(DimensionTooLargeError, match="supports n <= 12"):
+            GroverSpec(13, "1" * 13, "qubit", iterations=3)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -204,3 +226,76 @@ class TestMethodAgnosticism:
         register, emap, gates, count = _prepare_backend(5, "reference", "single")
         assert gates is None and count == 0
         assert all(slot is QubitSlot.SINGLE for _, slot in emap.assignments)
+
+
+def _both_engines(n, method, gates_of=lambda gates: gates, k=None, omega=None):
+    """Read-outs of one search from the dense and the sparse engine."""
+    register, emap, cnz_gates, _ = grover._prepare_backend(n, method, "single")
+    if cnz_gates is not None:
+        cnz_gates = gates_of(cnz_gates)
+    omega = omega or "1" * n
+    runs = grover._compile([("u", q, HADAMARD) for q in range(n)], emap, cnz_gates)
+    iteration = build_oracle(omega, n) + build_diffusion(n)
+    runs += grover._compile(iteration, emap, cnz_gates) * (k or auto_iterations(n))
+    flip = register.index(embed_basis_state("1" * n, emap))
+    return tuple(
+        read_out(engine(register, runs, flip), emap)
+        for engine in (grover._dense_probabilities, grover._sparse_probabilities)
+    )
+
+
+class TestEngines:
+    @pytest.mark.parametrize("method", BACKENDS)
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_sparse_table_matches_dense_register(self, n, method):
+        rng = np.random.default_rng(100 + n)
+        omega = "".join(str(b) for b in rng.integers(0, 2, size=n))
+        k = int(rng.integers(1, grover._max_iterations(n) + 1))
+        dense, sparse = _both_engines(n, method, k=k, omega=omega)
+        assert dense.probabilities.keys() == sparse.probabilities.keys()
+        for key, p in dense.probabilities.items():
+            assert abs(sparse.probabilities[key] - p) <= STATE_TOL, key
+        assert dense.leakage <= STATE_TOL and sparse.leakage <= STATE_TOL
+
+    @pytest.mark.parametrize(
+        "method,n,engine",
+        [("qutrit", 8, "dense"), ("qutrit", 9, "sparse"), ("qubit", 7, "dense"),
+         ("ququint", 10, "dense"), ("reference", 12, "dense")],
+    )
+    def test_sparse_above_32_amplitudes_per_outcome(self, monkeypatch, method, n, engine):
+        # qutrit n=8 / 9 span 25.6 / 38.4 amplitudes per outcome, qubit n=7 32
+        used = []
+        for name in ("dense", "sparse"):
+            real = getattr(grover, f"_{name}_probabilities")
+            monkeypatch.setattr(
+                grover,
+                f"_{name}_probabilities",
+                lambda *args, name=name, real=real: used.append(name) or real(*args),
+            )
+        report = run_grover(GroverSpec(n, "1" * n, method, iterations=1))
+        assert used == [engine]
+        assert report.success_probability == pytest.approx(analytic_success(n, 1), abs=1e-9)
+
+    def test_fused_qubit_ladder_keeps_its_unitary(self):
+        circuit = decompose_cnz(DecompositionRequest(4, "qubit")).circuit
+        fused = QuditCircuit(circuit.register, grover._fuse(circuit.gates))
+        assert len(fused) < len(circuit)
+        assert np.abs(circuit_unitary(fused) - circuit_unitary(circuit)).max() <= STATE_TOL
+
+    def test_leaking_ladder_reports_the_same_leakage(self, monkeypatch):
+        # a final Hadamard on the first work site; a final X would cancel,
+        # since each iteration runs the ladder twice and nothing else
+        # touches the work sites
+        n = 4
+        register, emap, gates, count = grover._prepare_backend(n, "qubit", "single")
+        leaking = list(gates) + [LevelPairGate(emap.work_sites[0], 0, 1, HADAMARD)]
+        dense, sparse = _both_engines(n, "qubit", lambda _: leaking)
+        assert dense.leakage > 0.5
+        assert sparse.leakage == pytest.approx(dense.leakage, abs=STATE_TOL)
+        for key, p in dense.probabilities.items():
+            assert abs(sparse.probabilities[key] - p) <= STATE_TOL, key
+        monkeypatch.setattr(
+            grover, "_prepare_backend", lambda *_: (register, emap, leaking, count)
+        )
+        with pytest.raises(RuntimeError, match="leakage"):
+            run_grover(GroverSpec(n, "1" * n, "qubit"))

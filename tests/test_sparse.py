@@ -1,6 +1,7 @@
 """Property tests on random mixed-radix circuits: the sparse basis
-propagator, the dense stride applier and the Kronecker matrices agree, and
-documents round-trip byte for byte."""
+propagator, the dense stride applier and the Kronecker matrices agree,
+same-site fusion keeps the unitary, and documents round-trip byte for
+byte."""
 
 import cmath
 
@@ -25,6 +26,7 @@ from ququint import (
 )
 from ququint.core import STATE_TOL, _propagate_sparse
 from ququint.decompose import _propagate_basis
+from ququint.grover import _fuse
 
 angles = st.floats(0, 2 * np.pi)
 
@@ -96,6 +98,13 @@ def test_sparse_propagation_matches_dense(circuit):
 @given(circuits())
 def test_dense_applier_matches_kronecker_matrices(circuit):
     assert np.max(np.abs(dense_columns(circuit) - circuit_unitary(circuit))) < STATE_TOL
+
+
+@given(circuits())
+def test_same_site_fusion_keeps_the_unitary(circuit):
+    fused = QuditCircuit(circuit.register, _fuse(circuit.gates))
+    assert len(fused) <= len(circuit)
+    assert np.abs(circuit_unitary(fused) - circuit_unitary(circuit)).max() <= STATE_TOL
 
 
 @given(circuits())
