@@ -16,10 +16,10 @@ from ququint import (
     default_embedding,
     embed_basis_state,
     gate_matrix,
-    intra_ququint_cz,
     lift_single_qubit_gate,
     read_out,
 )
+from ququint.embedding import intra_ququint_cz
 
 emap = default_embedding(2)
 print("two qubits on", emap.register.dims, "->", emap.assignments)

@@ -14,9 +14,9 @@ from ququint import (
     decompose_cnz_ququint,
     decompose_cnz_qutrit,
     reported_count,
-    to_cnx,
     verify_decomposition,
 )
+from ququint.decompose import to_cnx
 
 
 def describe(gate):

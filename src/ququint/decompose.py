@@ -51,8 +51,8 @@ from .embedding import (
     ODD_VARIANTS,
     EmbeddingMap,
     QubitSlot,
+    _parse_bits,
     default_embedding,
-    embed_basis_state,
     intra_ququint_cz,
     lift_hadamard,
 )
@@ -292,9 +292,9 @@ def decompose_cnz(request: DecompositionRequest) -> DecompositionResult:
 # sparse table with a row per live amplitude, keyed by (input, flat index)
 # (``core._propagate_sparse``). Blocks of ``_BLOCK`` inputs bound the table,
 # and with it peak memory, whatever n is. Start and expected indices are
-# linear in the input bits, so they are computed for every input at once,
-# and per-input errors and leakage are reduced over the table's rows. Tests
-# cross-check the sparse propagator against the dense applier.
+# encoded for every input at once (``EmbeddingMap.encode``), and per-input
+# errors and leakage are reduced over the table's rows. Tests cross-check
+# the sparse propagator against the dense applier.
 # ---------------------------------------------------------------------------
 
 _BLOCK = 256  # inputs propagated together
@@ -344,13 +344,8 @@ def _block_scores(result, starts, expects, signs):
     missed = np.ones(count, dtype=bool)
     missed[owner[hit]] = False
     errors[missed] = np.maximum(errors[missed], 1.0)
-    leaky = np.zeros(len(keys), dtype=bool)
-    for stride, dim, top in zip(
-        register.strides, register.dims, result.embedding.level_ceilings
-    ):
-        if top < dim - 1:
-            leaky |= (keys // stride) % dim > top
-    prob = np.where(leaky, np.abs(amps) ** 2, 0.0)
+    _, computational = result.embedding.decode(index)
+    prob = np.where(computational, 0.0, np.abs(amps) ** 2)
     leaks = np.bincount(owner, weights=prob, minlength=count)
     return errors, leaks
 
@@ -375,38 +370,27 @@ def verify_decomposition(
     """
     emap = result.embedding
     n = emap.qubit_count
-    register = result.circuit.register
     if target_qubit is not None and not 0 <= target_qubit < n:
         raise ValueError(f"target qubit {target_qubit} out of range")
     if bits_subset is None:
         # every bitstring in counting order, qubit 0 the most significant
         bits = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
     else:
-        rows = [[int(b) for b in bitstring] for bitstring in bits_subset]
-        for row in rows:
-            if len(row) != n or not set(row) <= {0, 1}:
-                raise ValueError(f"expected {n} bits of 0 or 1, got {row}")
+        rows = [_parse_bits(bitstring, n) for bitstring in bits_subset]
         bits = np.array(rows, dtype=np.int64).reshape(len(rows), n)
-
-    # the embedding is linear in the bits: index = bits . weights plus the
-    # bystander bit times its own weight
-    weights = np.array([
-        register.index(embed_basis_state([int(q == k) for q in range(n)], emap))
-        for k in range(n)
-    ])
-    bystanders = (0, 1) if emap.bystander_sites else (0,)
-    bystander_weight = register.index(embed_basis_state([0] * n, emap, 1))
+    expected = bits.copy()
     if target_qubit is None:
-        flips = np.zeros(len(bits), dtype=np.int64)
         signs = np.where(bits.all(axis=1), -1.0, 1.0)
     else:
         controls = np.delete(bits, target_qubit, axis=1).all(axis=1)
-        step = (1 - 2 * bits[:, target_qubit]) * weights[target_qubit]
-        flips = np.where(controls, step, 0)
+        expected[controls, target_qubit] ^= 1
         signs = np.ones(len(bits))
-    # one entry per (input, bystander), bystander innermost
-    starts = ((bits @ weights)[:, None] + np.array(bystanders) * bystander_weight).ravel()
-    expects = starts + np.repeat(flips, len(bystanders))
+    bystanders = (0, 1) if emap.bystander_sites else (0,)
+
+    def encode(rows):  # one entry per (input, bystander), bystander innermost
+        return np.stack([emap.encode(rows, b) for b in bystanders], axis=1).ravel()
+
+    starts, expects = encode(bits), encode(expected)
     signs = np.repeat(signs, len(bystanders))
 
     errors, leaks = np.zeros(len(starts)), np.zeros(len(starts))

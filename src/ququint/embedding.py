@@ -118,6 +118,39 @@ class EmbeddingMap:
             ceilings[site] = 1 if slot is QubitSlot.SINGLE else 3
         return tuple(ceilings)
 
+    def encode(self, bits, bystander: int = 0) -> np.ndarray:
+        """Flat register index of each row of an (m, n) or (n,) array of
+        qubit bits, qubit 0 first: each qubit weighs its site's stride,
+        doubled on slot A; every bystander site adds its stride times
+        ``bystander``; work sites stay at level 0."""
+        if bystander not in (0, 1):
+            raise ValueError(f"bystander bit must be 0 or 1, got {bystander}")
+        strides = self.register.strides
+        weights = np.array(
+            [strides[s] * (2 if slot is QubitSlot.A else 1) for s, slot in self.assignments],
+            dtype=np.int64,
+        )
+        offset = bystander * sum(strides[s] for s in self.bystander_sites)
+        return np.asarray(bits, dtype=np.int64) @ weights + offset
+
+    def decode(self, indices) -> tuple[np.ndarray, np.ndarray]:
+        """``(outcome, computational)`` of flat register indices: the qubit
+        bitstring as an integer, qubit 0 most significant and bystander bits
+        dropped, and whether no site digit exceeds its ceiling."""
+        idx = np.asarray(indices, dtype=np.int64)
+        dims = self.register.dims
+        digits = [idx // stride % dim for stride, dim in zip(self.register.strides, dims)]
+        n = self.qubit_count
+        outcome = np.zeros(idx.shape, dtype=np.int64)
+        for q, (site, slot) in enumerate(self.assignments):
+            bit = (digits[site] >> 1) & 1 if slot is QubitSlot.A else digits[site] & 1
+            outcome |= bit << (n - 1 - q)
+        computational = np.ones(idx.shape, dtype=bool)
+        for digit, dim, top in zip(digits, dims, self.level_ceilings):
+            if top < dim - 1:
+                computational &= digit <= top
+        return outcome, computational
+
 
 def default_embedding(n: int, odd_variant: str = "single") -> EmbeddingMap:
     """Canonical layout of ``n`` qubits on five-level sites.
@@ -148,12 +181,14 @@ def default_embedding(n: int, odd_variant: str = "single") -> EmbeddingMap:
     return EmbeddingMap(QuditRegister((5,) * num_sites), tuple(assignments))
 
 
-def _parse_bits(bits, expected: int):
-    out = [int(b) for b in bits]
-    if len(out) != expected:
-        raise ValueError(f"expected {expected} bits, got {len(out)}")
-    if any(b not in (0, 1) for b in out):
-        raise ValueError(f"bits must be 0 or 1, got {list(bits)}")
+def _parse_bits(bits, n: int) -> list[int]:
+    """The ``n`` bits of a string like ``"0110"`` or a sequence of 0/1."""
+    try:
+        out = [int(b) if b in (0, 1, "0", "1") else -1 for b in bits]
+    except TypeError:  # not a sequence
+        out = None
+    if out is None or len(out) != n or -1 in out:
+        raise ValueError(f"expected {n} bits of 0 or 1, got {bits!r}")
     return out
 
 
@@ -169,17 +204,7 @@ def embed_basis_state(bits, emap: EmbeddingMap, bystander: int = 0) -> tuple[int
         Per-site level tuple; work sites are at level 0.
     """
     values = _parse_bits(bits, emap.qubit_count)
-    if bystander not in (0, 1):
-        raise ValueError(f"bystander bit must be 0 or 1, got {bystander}")
-    levels = [0] * emap.register.num_sites
-    for (site, slot), bit in zip(emap.assignments, values):
-        if slot is QubitSlot.A:
-            levels[site] += 2 * bit
-        else:  # B and SINGLE both contribute the low bit
-            levels[site] += bit
-    for site in emap.bystander_sites:
-        levels[site] += bystander
-    return tuple(levels)
+    return emap.register.label(int(emap.encode(values, bystander)))
 
 
 def lift_single_qubit_gate(
@@ -224,20 +249,13 @@ def decode_basis_label(label, emap: EmbeddingMap) -> str | None:
     """Qubit bitstring stored in a register basis label, or ``None`` if the
     label has probability on a non-computational configuration.
 
-    Bystander bits are dropped; work sites must sit at level 0.
+    Bystander bits are dropped; work sites must sit at level 0. A label
+    whose length or levels do not fit the register raises ``ValueError``.
     """
-    label = tuple(label)
-    if len(label) != emap.register.num_sites:
-        raise ValueError(
-            f"label has {len(label)} digits, register has "
-            f"{emap.register.num_sites} sites"
-        )
-    if any(level > top for level, top in zip(label, emap.level_ceilings)):
+    outcome, computational = emap.decode(emap.register.index(label))
+    if not computational:
         return None
-    return "".join(
-        str(label[site] // 2 if slot is QubitSlot.A else label[site] % 2)
-        for site, slot in emap.assignments
-    )
+    return format(int(outcome), f"0{emap.qubit_count}b")
 
 
 @dataclass(frozen=True)
@@ -249,12 +267,6 @@ class QubitReadout:
 
     def top_outcome(self) -> str:
         return max(self.probabilities, key=lambda k: self.probabilities[k])
-
-
-def _site_digits(register: QuditRegister, idx: np.ndarray) -> list[np.ndarray]:
-    return [
-        (idx // stride) % dim for stride, dim in zip(register.strides, register.dims)
-    ]
 
 
 def read_out(probabilities: np.ndarray, emap: EmbeddingMap) -> QubitReadout:
@@ -272,19 +284,9 @@ def read_out(probabilities: np.ndarray, emap: EmbeddingMap) -> QubitReadout:
         )
     live = np.flatnonzero(probs)
     probs = probs[live]
-    digits = _site_digits(emap.register, live)
+    outcome, ok = emap.decode(live)  # ok: on computational levels
     n = emap.qubit_count
-    out_index = np.zeros(len(live), dtype=np.int64)
-    for q, (site, slot) in enumerate(emap.assignments):
-        if slot is QubitSlot.A:
-            bit = digits[site] // 2
-        else:
-            bit = digits[site] % 2
-        out_index |= (bit.astype(np.int64) & 1) << (n - 1 - q)
-    mask = np.ones(len(live), dtype=bool)
-    for digit, top in zip(digits, emap.level_ceilings):
-        mask &= digit <= top
-    table = np.bincount(out_index[mask], weights=probs[mask], minlength=2**n)
-    leakage = float(probs[~mask].sum())
+    table = np.bincount(outcome[ok], weights=probs[ok], minlength=2**n)
+    leakage = float(probs[~ok].sum())
     labels = {format(i, f"0{n}b"): float(p) for i, p in enumerate(table)}
     return QubitReadout(labels, leakage)

@@ -42,7 +42,7 @@ from .embedding import (
     ODD_VARIANTS,
     EmbeddingMap,
     QubitSlot,
-    embed_basis_state,
+    _parse_bits,
     lift_single_qubit_gate,
     read_out,
 )
@@ -73,21 +73,13 @@ def _max_iterations(n: int) -> int:
     return math.ceil(math.pi / (2.0 * math.asin(2.0 ** (-n / 2))))
 
 
-def _validate_bits(omega: str, n: int) -> str:
-    omega = str(omega)
-    if len(omega) != n or any(c not in "01" for c in omega):
-        raise ValueError(f"omega must be a bitstring of length {n}, got {omega!r}")
-    return omega
-
-
 def build_oracle(omega: str, n: int | None = None) -> list[Step]:
     """Phase oracle steps sending |x> to -|x> exactly when x equals omega.
 
     The leftmost character of ``omega`` is qubit 0 (most significant).
     """
-    n = len(omega) if n is None else n
-    omega = _validate_bits(omega, n)
-    flips = [("u", q, PAULI_X) for q, c in enumerate(omega) if c == "0"]
+    bits = _parse_bits(omega, len(omega) if n is None else n)
+    flips = [("u", q, PAULI_X) for q, b in enumerate(bits) if b == 0]
     return flips + [("cnz",)] + flips
 
 
@@ -128,7 +120,9 @@ class GroverSpec:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError(f"need at least two qubits, got n={self.n}")
-        _validate_bits(self.omega, self.n)
+        if not isinstance(self.omega, str):
+            raise ValueError(f"omega must be a bitstring, got {self.omega!r}")
+        _parse_bits(self.omega, self.n)
         if self.method not in BACKENDS:
             raise ValueError(
                 f"unknown method {self.method!r}, expected one of {BACKENDS}"
@@ -140,7 +134,7 @@ class GroverSpec:
                 f"{_SIZE_LIMIT[self.method]}, got {self.n}"
             )
         if self.iterations != "auto":
-            if not isinstance(self.iterations, int) or self.iterations < 1:
+            if type(self.iterations) is not int or self.iterations < 1:
                 raise ValueError(
                     f"iterations must be 'auto' or a positive integer, "
                     f"got {self.iterations!r}"
@@ -290,7 +284,7 @@ def run_grover(spec: GroverSpec) -> GroverReport:
     iteration = _compile(
         build_oracle(spec.omega, n) + build_diffusion(n), emap, cnz_gates
     )
-    flip = register.index(embed_basis_state("1" * n, emap))
+    flip = int(emap.encode([1] * n))
     if register.size > _SPARSE_RATIO * 2**n:
         engine = _sparse_probabilities
     else:

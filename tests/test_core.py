@@ -3,7 +3,6 @@ import pytest
 
 from ququint import (
     HADAMARD,
-    IDENTITY,
     PAULI_Z,
     DimensionTooLargeError,
     GateError,
@@ -22,6 +21,7 @@ from ququint import (
     gate_matrix,
     measure_all,
 )
+from ququint.core import IDENTITY
 
 Q1 = QuditRegister((5,))
 Q2 = QuditRegister((5, 5))

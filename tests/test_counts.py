@@ -5,9 +5,9 @@ from ququint import (
     auto_iterations,
     count_table,
     emit_report,
-    parse_report,
     reported_count,
 )
+from ququint.counts import parse_report
 
 
 class TestCountTable:

@@ -22,10 +22,9 @@ from ququint import (
     decompose_cnz_qutrit,
     embed_basis_state,
     reported_count,
-    to_cnx,
     verify_decomposition,
 )
-from ququint.decompose import T_GATE, _propagate_basis
+from ququint.decompose import T_GATE, _propagate_basis, to_cnx
 
 
 def controlled_swap_matrix(register, ctl, tgt, i, k, level_l):
@@ -294,6 +293,55 @@ class TestCounts:
             decompose_cnz_qubit(6),
         ):
             assert result.two_particle_gate_count == result.circuit.two_qudit_gate_count
+
+
+def asap_depth(gates, two_particle_only=False):
+    """Layers of an as-soon-as-possible schedule: a gate's layer is one more
+    than the latest layer on any of its sites. With ``two_particle_only``
+    the one-site gates are left out."""
+    layer: dict[int, int] = {}
+    for gate in gates:
+        if isinstance(gate, TwoQuditCZ):
+            sites = (gate.site_a, gate.site_b)
+        elif two_particle_only:
+            continue
+        else:
+            sites = (gate.site,)
+        top = 1 + max(layer.get(s, 0) for s in sites)
+        layer.update((s, top) for s in sites)
+    return max(layer.values(), default=0)
+
+
+class TestDepth:
+    """The abstract's O(N) depth with no ancilla qubits, pinned up to the
+    largest n whose register fits ``MAX_STATE_SIZE`` (5^11, 3^16, 2^26)."""
+
+    @pytest.mark.parametrize("n", range(2, 23))
+    @pytest.mark.parametrize("variant", ["single", "neighbor"])
+    def test_ququint_is_one_sequential_chain(self, n, variant):
+        result = decompose_cnz(DecompositionRequest(n, "ququint", variant))
+        gates = result.circuit.gates
+        assert asap_depth(gates, two_particle_only=True) == result.two_particle_gate_count
+        if n >= 5:
+            if n % 2 == 0:
+                total = 2 * n - 5
+            else:
+                total = 2 * n - 3 if variant == "single" else 2 * n - 2
+            assert asap_depth(gates) == total
+        assert result.ancilla_systems == 0
+
+    @pytest.mark.parametrize("n", range(3, 17))
+    def test_qutrit_depth(self, n):
+        result = decompose_cnz(DecompositionRequest(n, "qutrit"))
+        assert asap_depth(result.circuit.gates, two_particle_only=True) == 2 * n - 3
+        assert asap_depth(result.circuit.gates) == 4 * n - 5
+        assert result.ancilla_systems == 0
+
+    @pytest.mark.parametrize("n", range(3, 15))
+    def test_qubit_depth(self, n):
+        result = decompose_cnz(DecompositionRequest(n, "qubit"))
+        assert asap_depth(result.circuit.gates, two_particle_only=True) == 10 * n - 18
+        assert asap_depth(result.circuit.gates) == 37 * n - 71
 
 
 def central_cz_span(gates):

@@ -4,6 +4,7 @@ import pytest
 from ququint import (
     HADAMARD,
     PAULI_X,
+    DecompositionRequest,
     EmbeddingError,
     EmbeddingMap,
     QubitSlot,
@@ -12,13 +13,14 @@ from ququint import (
     TwoLevelUnitary,
     apply_level_pair,
     decode_basis_label,
+    decompose_cnz,
     default_embedding,
     embed_basis_state,
     gate_matrix,
-    intra_ququint_cz,
     lift_single_qubit_gate,
     read_out,
 )
+from ququint.embedding import intra_ququint_cz
 
 
 def random_unitary(rng):
@@ -241,3 +243,68 @@ class TestReadOut:
         emap = default_embedding(5, "single")
         assert decode_basis_label((4, 0, 0), emap) is None
         assert decode_basis_label((0, 0, 2), emap) is None
+
+
+def codec_layout(n, layout):
+    if layout in ("qutrit", "qubit"):
+        return decompose_cnz(DecompositionRequest(n, layout)).embedding
+    return default_embedding(n, layout)
+
+
+CODEC_CASES = [
+    (n, layout)
+    for n in range(2, 10)
+    for layout in ("single", "neighbor", "qutrit", "qubit")
+    if layout != "neighbor" or n % 2
+]
+
+
+def label_oracle(label, emap):
+    """The encoding rule written out: slot A is the high bit of level 2a + b,
+    slots B and SINGLE the low bit; a pair site above level 3, a SINGLE site
+    above 1 or a work site above 0 holds no qubits."""
+    top = [0] * emap.register.num_sites
+    for site, slot in emap.assignments:
+        top[site] = 1 if slot is QubitSlot.SINGLE else 3
+    if any(level > t for level, t in zip(label, top)):
+        return None
+    return "".join(
+        str(label[site] // 2 if slot is QubitSlot.A else label[site] % 2)
+        for site, slot in emap.assignments
+    )
+
+
+class TestCodec:
+    @pytest.mark.parametrize("n,layout", CODEC_CASES)
+    def test_decode_inverts_encode(self, n, layout):
+        emap = codec_layout(n, layout)
+        bits = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+        bystanders = (0, 1) if emap.bystander_sites else (0,)
+        seen = set()
+        for bystander in bystanders:
+            indices = emap.encode(bits, bystander)
+            seen.update(indices.tolist())
+            outcome, computational = emap.decode(indices)
+            assert outcome.tolist() == list(range(2**n))
+            assert computational.all()
+            assert emap.encode(bits[-1], bystander) == indices[-1]
+        assert len(seen) == 2**n * len(bystanders)  # every input its own index
+
+    @pytest.mark.parametrize(
+        "n,layout",
+        [case for case in CODEC_CASES if codec_layout(*case).register.size <= 5**4],
+    )
+    def test_decode_agrees_with_labels(self, n, layout):
+        emap = codec_layout(n, layout)
+        size = emap.register.size
+        outcome, computational = emap.decode(np.arange(size))
+        for i in range(size):
+            label = emap.register.label(i)
+            expected = label_oracle(label, emap)
+            assert decode_basis_label(label, emap) == expected
+            decoded = format(outcome[i], f"0{n}b") if computational[i] else None
+            assert decoded == expected
+
+    def test_encode_rejects_bad_bystander(self):
+        with pytest.raises(ValueError, match="bystander"):
+            default_embedding(3, "neighbor").encode([1, 1, 1], 2)

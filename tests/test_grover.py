@@ -12,8 +12,6 @@ from ququint import (
     QubitSlot,
     QuditCircuit,
     auto_iterations,
-    build_diffusion,
-    build_oracle,
     circuit_unitary,
     decompose_cnz,
     embed_basis_state,
@@ -22,7 +20,7 @@ from ququint import (
 )
 from ququint import grover
 from ququint.core import STATE_TOL
-from ququint.grover import BACKENDS
+from ququint.grover import BACKENDS, build_diffusion, build_oracle
 
 
 def analytic_success(n, k):
@@ -199,6 +197,16 @@ class TestRunGrover:
             GroverSpec(3, "101", "quhex")
         with pytest.raises(ValueError):
             GroverSpec(3, "101", iterations=0)
+
+    def test_bool_iterations_rejected(self):
+        # bool is an int subclass: True used to run one iteration
+        with pytest.raises(ValueError, match="iterations"):
+            GroverSpec(3, "101", "reference", iterations=True)
+
+    def test_non_string_omega_rejected(self):
+        # 101 used to construct, then fail in run_grover with KeyError: 101
+        with pytest.raises(ValueError, match="omega"):
+            GroverSpec(3, 101, "reference")
 
 
 class TestMethodAgnosticism:
