@@ -16,12 +16,11 @@ from ququint import (
     QuditRegister,
     StateVector,
     TwoQuditCZ,
-    apply_level_pair,
-    apply_two_qudit_cz,
     circuit_unitary,
     gate_matrix,
     measure_all,
 )
+from ququint.core import apply_level_pair, apply_two_qudit_cz
 
 one_ququint = QuditRegister((5,))
 two_ququints = QuditRegister((5, 5))

@@ -22,8 +22,6 @@ from .core import (
     TwoQuditCZ,
     apply_circuit,
     apply_gate,
-    apply_level_pair,
-    apply_two_qudit_cz,
     circuit_unitary,
     gate_matrix,
     measure_all,
@@ -91,8 +89,6 @@ __all__ = [
     "VerificationReport",
     "apply_circuit",
     "apply_gate",
-    "apply_level_pair",
-    "apply_two_qudit_cz",
     "auto_iterations",
     "build_cx",
     "circuit_unitary",

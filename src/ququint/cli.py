@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import StateVector, apply_circuit, measure_all
+from .core import StateVector, _sample_counts, apply_circuit, measure_all
 from .counts import count_table, emit_report
 from .decompose import (
     METHODS,
@@ -22,7 +22,7 @@ from .decompose import (
     decompose_cnz,
     verify_decomposition,
 )
-from .embedding import ODD_VARIANTS, decode_basis_label, embed_basis_state, read_out
+from .embedding import ODD_VARIANTS, embed_basis_state, read_out
 from .grover import BACKENDS, GroverSpec, run_grover
 from .serialize import CircuitDocument, _as_pair, _parse_json, load_document, save_document
 
@@ -82,16 +82,15 @@ def cmd_verify(args) -> int:
             0,
         )
         target = document.target_qubit
+    elif args.n is None or args.method is None:
+        raise ValueError("either --circuit or both --n and --method are required")
     else:
-        if args.n is None or args.method is None:
-            raise ValueError("either --circuit or both --n and --method are required")
-        result = decompose_cnz(
-            DecompositionRequest(args.n, args.method, args.odd_variant)
-        )
-        target = None
-    n = result.embedding.qubit_count
-    if n > 10:
+        result, target = None, None
+    n = args.n if result is None else result.embedding.qubit_count
+    if n > 10:  # refused before a ladder is compiled for nothing
         raise ValueError(f"verification sweeps support n <= 10, got n={n}")
+    if result is None:
+        result = decompose_cnz(DecompositionRequest(n, args.method, args.odd_variant))
     subset = None if (args.exhaustive or 2**n <= _SAMPLE_INPUTS) else _sample_bitstrings(n)
     report = verify_decomposition(result, target_qubit=target, bits_subset=subset)
     print(
@@ -127,18 +126,17 @@ def cmd_simulate(args) -> int:
     state = _initial_state(args, document)
     final = apply_circuit(state, document.circuit)
     if args.shots is not None:
-        histogram = measure_all(final, args.seed, args.shots)
-        if document.embedding is not None:
-            # decode each sampled register label to its qubit bitstring
-            decoded: dict[str, int] = {}
-            for label, count in histogram.items():
-                digits = label.split(",") if "," in label else label
-                bits = decode_basis_label(
-                    [int(c) for c in digits], document.embedding
-                )
-                key = bits if bits is not None else "leakage"
-                decoded[key] = decoded.get(key, 0) + count
-            histogram = dict(sorted(decoded.items()))
+        if document.embedding is None:
+            histogram = measure_all(final, args.seed, args.shots)
+        else:
+            # each read-out entry (leakage included) holds the total weight
+            # of the register outcomes that decode to it, so one draw over
+            # the table has the distribution of decoded register samples
+            table = read_out(final.probabilities(), document.embedding)
+            outcomes = sorted(table.probabilities) + ["leakage"]
+            weights = [table.probabilities[o] for o in outcomes[:-1]] + [table.leakage]
+            counts = _sample_counts(weights, args.seed, args.shots)
+            histogram = {o: int(c) for o, c in zip(outcomes, counts) if c}
         print("outcome,count")
         for outcome, count in histogram.items():
             print(f"{outcome},{count}")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .decompose import METHODS, DecompositionRequest, decompose_cnz, reported_count
+from .decompose import _MAX_N, METHODS, DecompositionRequest, decompose_cnz, reported_count
 from .grover import auto_iterations
 
 COLUMNS = (
@@ -27,7 +27,6 @@ COLUMNS = (
     "ratio",
 )
 
-_MAX_N = 30
 _CROSS_CHECK_MAX_N = 10
 
 

@@ -60,13 +60,18 @@ from .embedding import (
 T_GATE = phase_shift(math.pi / 4)
 T_DAGGER = T_GATE.dagger()
 
+# Largest qubit count a request may name, also the gate-count table's
+# ceiling. Registers stop fitting MAX_STATE_SIZE well below it (ququint at
+# n = 23), so larger requests are refused before any ladder is laid out.
+_MAX_N = 30
+
 
 @dataclass(frozen=True)
 class DecompositionRequest:
     """What to compile.
 
     Args:
-        n: Number of qubits the gate acts on, >= 2.
+        n: Number of qubits the gate acts on, 2 to 30.
         method: One of ``ququint``, ``qutrit``, ``qubit``.
         odd_variant: Layout of the last qubit for odd ``n`` with the ququint
             method (``single`` or ``neighbor``); ignored otherwise.
@@ -80,8 +85,8 @@ class DecompositionRequest:
     target_qubit: int | None = None
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"need at least two qubits, got n={self.n}")
+        if not 2 <= self.n <= _MAX_N:
+            raise ValueError(f"need 2 to {_MAX_N} qubits, got n={self.n}")
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
         if self.odd_variant not in ODD_VARIANTS:

@@ -269,6 +269,17 @@ class QubitReadout:
         return max(self.probabilities, key=lambda k: self.probabilities[k])
 
 
+def _read_out_rows(indices, weights, emap: EmbeddingMap) -> QubitReadout:
+    """:func:`read_out` of live rows: ``weights[k]`` is the probability of
+    flat register index ``indices[k]``, and absent indices carry none."""
+    weights = np.asarray(weights, dtype=float)
+    outcome, ok = emap.decode(indices)  # ok: on computational levels
+    n = emap.qubit_count
+    table = np.bincount(outcome[ok], weights=weights[ok], minlength=2**n)
+    labels = {format(i, f"0{n}b"): float(p) for i, p in enumerate(table)}
+    return QubitReadout(labels, float(weights[~ok].sum()))
+
+
 def read_out(probabilities: np.ndarray, emap: EmbeddingMap) -> QubitReadout:
     """Marginalize register outcome probabilities to qubit bitstrings.
 
@@ -283,10 +294,4 @@ def read_out(probabilities: np.ndarray, emap: EmbeddingMap) -> QubitReadout:
             f"{emap.register.size}"
         )
     live = np.flatnonzero(probs)
-    probs = probs[live]
-    outcome, ok = emap.decode(live)  # ok: on computational levels
-    n = emap.qubit_count
-    table = np.bincount(outcome[ok], weights=probs[ok], minlength=2**n)
-    leakage = float(probs[~ok].sum())
-    labels = {format(i, f"0{n}b"): float(p) for i, p in enumerate(table)}
-    return QubitReadout(labels, leakage)
+    return _read_out_rows(live, probs[live], emap)

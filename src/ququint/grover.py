@@ -43,8 +43,8 @@ from .embedding import (
     EmbeddingMap,
     QubitSlot,
     _parse_bits,
+    _read_out_rows,
     lift_single_qubit_gate,
-    read_out,
 )
 
 BACKENDS = ("reference",) + METHODS
@@ -233,9 +233,10 @@ def _fuse(gates: list[QuditGate]) -> list[QuditGate]:
 
 def _dense_probabilities(
     register: QuditRegister, runs: list[Run], flip: int
-) -> np.ndarray:
-    """Outcome probabilities after ``runs`` on |0...0>, with the stride
-    applier on the whole register; ``flip`` is the index of |1...1>."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Live outcome rows after ``runs`` on |0...0>: flat indices in order
+    and their probabilities. The stride applier runs on the whole register;
+    ``flip`` is the index of |1...1>."""
     dims = register.dims
     arr = np.zeros(register.size, dtype=np.complex128)
     arr[0] = 1.0  # |0...0> embeds at level 0 on every site
@@ -244,24 +245,24 @@ def _dense_probabilities(
             arr[flip] *= -1.0
         for gate in gates:
             _apply_gate_inplace(arr, dims, gate)
-    return np.abs(arr) ** 2
+    probs = np.abs(arr) ** 2
+    live = np.flatnonzero(probs)
+    return live, probs[live]
 
 
 def _sparse_probabilities(
     register: QuditRegister, runs: list[Run], flip: int
-) -> np.ndarray:
-    """The same probabilities from a one-input sparse table (key = flat
-    index), in O(live support) per gate; rows that survive off the
-    computational levels stay in the vector, so read-out sees the leakage."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """The same rows from a one-input sparse table (key = flat index), in
+    O(live support) per gate; rows that survive off the computational
+    levels are kept, so read-out sees the leakage."""
     keys = np.zeros(1, dtype=np.int64)
     amps = np.ones(1, dtype=np.complex128)
     for flip_first, gates in runs:
         if flip_first:
             amps[keys == flip] *= -1.0
         keys, amps = _propagate_sparse(register, gates, keys, amps)
-    probs = np.zeros(register.size)
-    probs[keys] = np.abs(amps) ** 2
-    return probs
+    return keys, np.abs(amps) ** 2
 
 
 def run_grover(spec: GroverSpec) -> GroverReport:
@@ -289,7 +290,7 @@ def run_grover(spec: GroverSpec) -> GroverReport:
         engine = _sparse_probabilities
     else:
         engine = _dense_probabilities
-    readout = read_out(engine(register, prepare + iteration * k, flip), emap)
+    readout = _read_out_rows(*engine(register, prepare + iteration * k, flip), emap)
     if readout.leakage > STATE_TOL:
         raise RuntimeError(
             f"leakage {readout.leakage} after a {spec.method} run; the "

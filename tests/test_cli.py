@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -52,6 +53,14 @@ class TestDecompose:
         assert code == 2
         assert "error" in stderr
         assert not out.exists()  # error paths must not create output files
+
+    @pytest.mark.parametrize("n,method", [
+        ("31", "qutrit"), ("2000000", "qubit"), ("100000000000000000000", "ququint"),
+    ])
+    def test_oversized_n_refused_up_front(self, capsys, n, method):
+        code, stdout, stderr = run_cli(capsys, "decompose", "--n", n, "--method", method)
+        assert (code, stdout) == (2, "")
+        assert stderr.startswith("error:") and len(stderr.splitlines()) == 1
 
     def test_inversion_target(self, capsys):
         code, stdout, _ = run_cli(
@@ -125,6 +134,13 @@ class TestVerify:
         assert code == 0
         assert "inputs_checked=64" in stdout
 
+    @pytest.mark.parametrize("n,method", [("100000000000000000000", "qutrit"), ("14", "qubit")])
+    def test_oversized_n_refused_before_compiling(self, capsys, monkeypatch, n, method):
+        monkeypatch.setattr("ququint.cli.decompose_cnz", lambda request: pytest.fail("compiled"))
+        code, stdout, stderr = run_cli(capsys, "verify", "--n", n, "--method", method)
+        assert (code, stdout) == (2, "")
+        assert stderr.startswith("error:") and len(stderr.splitlines()) == 1
+
     def test_requires_some_target(self, capsys):
         code, _, stderr = run_cli(capsys, "verify")
         assert code == 2
@@ -160,6 +176,37 @@ class TestSimulate:
         assert code_a == code_b == 0
         assert out_a == out_b
         assert "10101,1000" in out_a
+
+    def test_shots_land_on_outcomes_with_probability(self, document, tmp_path, capsys):
+        amps = [[0.0, 0.0]] * 125
+        for index in (0, 91, 4):  # |00000>, |11111>, and site 2 on its spare level 4
+            amps[index] = [3**-0.5, 0.0]
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps({"amplitudes": amps}))
+        source = ("simulate", str(document), "--state", str(state))
+        _, probs, _ = run_cli(capsys, *source, "--probs")
+        live = [row.split(",")[0] for row in probs.splitlines()[1:] if float(row.split(",")[1]) > 0]
+        code, stdout, _ = run_cli(capsys, *source, "--shots", "3000", "--seed", "5")
+        assert code == 0
+        rows = [row.split(",") for row in stdout.splitlines()[1:]]
+        assert [outcome for outcome, _ in rows] == live == ["00000", "11111", "leakage"]
+        assert sum(int(count) for _, count in rows) == 3000
+
+    def test_huge_shot_count(self, document, capsys):
+        start = time.perf_counter()
+        code, stdout, _ = run_cli(
+            capsys, "simulate", str(document), "--input", "10101", "--shots", "1000000000000000"
+        )
+        assert time.perf_counter() - start < 1.0
+        assert (code, stdout) == (0, "outcome,count\n10101,1000000000000000\n")
+
+    @pytest.mark.parametrize("shots", ["0", "9223372036854775808"])
+    def test_shots_out_of_range_are_usage_errors(self, document, capsys, shots):
+        code, stdout, stderr = run_cli(
+            capsys, "simulate", str(document), "--input", "10101", "--shots", shots
+        )
+        assert (code, stdout) == (2, "")
+        assert stderr.startswith("error: shots")
 
     def test_input_length_mismatch(self, document, capsys):
         code, _, stderr = run_cli(

@@ -15,13 +15,11 @@ from ququint import (
     TwoQuditCZ,
     apply_circuit,
     apply_gate,
-    apply_level_pair,
-    apply_two_qudit_cz,
     circuit_unitary,
     gate_matrix,
     measure_all,
 )
-from ququint.core import IDENTITY
+from ququint.core import IDENTITY, apply_level_pair, apply_two_qudit_cz
 
 Q1 = QuditRegister((5,))
 Q2 = QuditRegister((5, 5))
@@ -71,6 +69,12 @@ class TestRegister:
             QuditRegister((5, 1))
         with pytest.raises(DimensionTooLargeError):
             QuditRegister((2,) * 27)
+
+    def test_long_register_refused_without_its_product(self):
+        # the product of 200,000 dimensions has 60,206 digits; the message
+        # names the limit instead
+        with pytest.raises(DimensionTooLargeError, match=r"2\^26"):
+            QuditRegister((2,) * 200_000)
 
     def test_state_requires_normalization(self):
         with pytest.raises(ValueError):
@@ -251,6 +255,23 @@ class TestMeasurement:
     def test_shots_validated(self):
         with pytest.raises(ValueError):
             measure_all(StateVector.basis_state(Q1, (0,)), 0, 0)
+
+    def test_counts_sum_to_shots_on_live_labels(self):
+        rng = np.random.default_rng(3)
+        amps = np.zeros(Q2.size, dtype=complex)
+        amps[rng.choice(Q2.size, size=6, replace=False)] = rng.normal(size=6) + 1j
+        state = StateVector(Q2, amps / np.linalg.norm(amps))
+        live = {Q2.label_str(int(i)) for i in np.flatnonzero(state.probabilities())}
+        counts = measure_all(state, 5, 10_000)
+        assert set(counts) <= live and len(counts) > 1
+        assert sum(counts.values()) == 10_000
+        assert list(counts) == sorted(counts)  # index order
+
+    def test_shot_count_up_to_int64(self):
+        state = StateVector.basis_state(Q1, (3,))
+        assert measure_all(state, 0, 2**63 - 1) == {"3": 2**63 - 1}
+        with pytest.raises(ValueError, match="shots"):
+            measure_all(state, 0, 2**63)
 
 
 REGISTERS = [

@@ -388,6 +388,11 @@ class TestRequestValidation:
         with pytest.raises(ValueError):
             DecompositionRequest(1, "ququint")
 
+    @pytest.mark.parametrize("n", [31, 200_000, 10**20])
+    def test_rejects_n_beyond_the_count_table(self, n):
+        with pytest.raises(ValueError, match="need 2 to 30 qubits"):
+            DecompositionRequest(n, "qubit")
+
     def test_rejects_unknown_method(self):
         with pytest.raises(ValueError):
             DecompositionRequest(4, "qubyte")

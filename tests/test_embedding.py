@@ -11,7 +11,6 @@ from ququint import (
     QuditRegister,
     StateVector,
     TwoLevelUnitary,
-    apply_level_pair,
     decode_basis_label,
     decompose_cnz,
     default_embedding,
@@ -20,6 +19,7 @@ from ququint import (
     lift_single_qubit_gate,
     read_out,
 )
+from ququint.core import apply_level_pair
 from ququint.embedding import intra_ququint_cz
 
 

@@ -15,11 +15,11 @@ from ququint import (
     circuit_unitary,
     decompose_cnz,
     embed_basis_state,
-    read_out,
     run_grover,
 )
 from ququint import grover
 from ququint.core import STATE_TOL
+from ququint.embedding import _read_out_rows
 from ququint.grover import BACKENDS, build_diffusion, build_oracle
 
 
@@ -247,7 +247,7 @@ def _both_engines(n, method, gates_of=lambda gates: gates, k=None, omega=None):
     runs += grover._compile(iteration, emap, cnz_gates) * (k or auto_iterations(n))
     flip = register.index(embed_basis_state("1" * n, emap))
     return tuple(
-        read_out(engine(register, runs, flip), emap)
+        _read_out_rows(*engine(register, runs, flip), emap)
         for engine in (grover._dense_probabilities, grover._sparse_probabilities)
     )
 
