@@ -110,9 +110,15 @@ def _initial_state(args, document: CircuitDocument) -> StateVector:
     if args.input is not None:
         if document.embedding is not None:
             label = embed_basis_state(args.input, document.embedding)
-        else:
-            digits = [int(c) for c in args.input]
-            label = tuple(digits)
+        else:  # levels, one digit per site or comma-separated as printed
+            listed = "," in args.input or register.num_sites == 1
+            tokens = args.input.split(",") if listed else list(args.input)
+            if not all(t.isascii() and t.isdigit() for t in tokens):
+                raise ValueError(
+                    "--input without an embedding takes one level digit per site "
+                    f"or comma-separated levels, got {args.input!r}"
+                )
+            label = tuple(int(t) for t in tokens)
         return StateVector.basis_state(register, label)
     payload = _parse_json(Path(args.state).read_text(encoding="utf-8"), "state file")
     if not isinstance(payload, dict) or not isinstance(payload.get("amplitudes"), list):
@@ -230,7 +236,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run a circuit document on a basis input or state file")
     p.add_argument("circuit", help="circuit document to run")
     source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--input", help="qubit bitstring (or raw level digits without an embedding)")
+    source.add_argument(
+        "--input",
+        help="qubit bitstring (without an embedding: one level digit per site, "
+        "or comma-separated levels)",
+    )
     source.add_argument("--state", help="JSON state file with an amplitudes list of [re, im] pairs")
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--probs", action="store_true", help="print exact probabilities")

@@ -444,16 +444,26 @@ def _propagate_sparse(
         amps = np.concatenate(
             (amps[rest], amp_i * u.alpha, amp_i * u.gamma, amp_j * u.beta, amp_j * u.delta)
         )
-        order = np.argsort(keys, kind="stable")  # radix sort on int keys
-        keys, amps = keys[order], amps[order]
         # a key occurs at most twice: a row's own term and its partner's
-        first = np.ones(len(keys), dtype=bool)
-        np.not_equal(keys[1:], keys[:-1], out=first[1:])
-        first = np.flatnonzero(first)
-        keys, amps = keys[first], np.add.reduceat(amps, first)
+        keys, amps = _sum_rows(keys, amps)
         keep = np.abs(amps) > _PRUNE
         keys, amps = keys[keep], amps[keep]
     return keys, amps
+
+
+def _key_runs(sorted_keys: np.ndarray) -> np.ndarray:
+    """Position of the first row of each run of equal keys."""
+    first = np.ones(len(sorted_keys), dtype=bool)
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])
+    return np.flatnonzero(first)
+
+
+def _sum_rows(keys: np.ndarray, amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows sorted by key, the amplitudes of equal keys summed into one."""
+    order = np.argsort(keys, kind="stable")  # radix sort on int keys
+    keys, amps = keys[order], amps[order]
+    first = _key_runs(keys)
+    return keys[first], np.add.reduceat(amps, first)
 
 
 # ---------------------------------------------------------------------------

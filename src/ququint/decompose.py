@@ -51,6 +51,7 @@ from .embedding import (
     ODD_VARIANTS,
     EmbeddingMap,
     QubitSlot,
+    _counting_bits,
     _parse_bits,
     default_embedding,
     intra_ququint_cz,
@@ -299,7 +300,8 @@ def decompose_cnz(request: DecompositionRequest) -> DecompositionResult:
 # and with it peak memory, whatever n is. Start and expected indices are
 # encoded for every input at once (``EmbeddingMap.encode``), and per-input
 # errors and leakage are reduced over the table's rows. Tests cross-check
-# the sparse propagator against the dense applier.
+# the sparse propagator against the dense applier. Grover searches take
+# their ladder's action on the embedded basis from the same rows.
 # ---------------------------------------------------------------------------
 
 _BLOCK = 256  # inputs propagated together
@@ -331,16 +333,27 @@ class VerificationReport:
         return self.max_amplitude_error < STATE_TOL and self.max_leakage < STATE_TOL
 
 
+def _basis_rows(
+    register: QuditRegister, gates: list[QuditGate], starts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Live rows ``(input, index, amplitude)`` of the basis inputs at flat
+    indices ``starts``, pushed through ``gates`` together as one table;
+    ``input`` is the position in ``starts``, and rows come sorted by input,
+    then by flat index."""
+    count, size = len(starts), register.size
+    keys, amps = _propagate_sparse(
+        register, gates, np.arange(count) * size + starts, np.ones(count)
+    )
+    owner, index = np.divmod(keys, size)
+    return owner, index, amps
+
+
 def _block_scores(result, starts, expects, signs):
     """Amplitude error and leakage of each input of one block, propagated
     together from flat indices ``starts``; each input should end at
     ``expects`` with amplitude ``signs``."""
-    register = result.circuit.register
-    count, size = len(starts), register.size
-    keys, amps = _propagate_sparse(
-        register, result.circuit.gates, np.arange(count) * size + starts, np.ones(count)
-    )
-    owner, index = np.divmod(keys, size)
+    count = len(starts)
+    owner, index, amps = _basis_rows(result.circuit.register, result.circuit.gates, starts)
     hit = index == expects[owner]
     wanted = np.where(hit, signs[owner], 0.0)
     errors = np.zeros(count)
@@ -378,8 +391,7 @@ def verify_decomposition(
     if target_qubit is not None and not 0 <= target_qubit < n:
         raise ValueError(f"target qubit {target_qubit} out of range")
     if bits_subset is None:
-        # every bitstring in counting order, qubit 0 the most significant
-        bits = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+        bits = _counting_bits(n)
     else:
         rows = [_parse_bits(bitstring, n) for bitstring in bits_subset]
         bits = np.array(rows, dtype=np.int64).reshape(len(rows), n)

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    _PRUNE,
     HADAMARD,
     PAULI_X,
     STATE_TOL,
@@ -35,13 +36,17 @@ from .core import (
     TwoLevelUnitary,
     TwoQuditCZ,
     _apply_gate_inplace,
+    _key_runs,
     _propagate_sparse,
+    _sum_rows,
 )
-from .decompose import METHODS, DecompositionRequest, decompose_cnz
+from .decompose import _BLOCK, METHODS, DecompositionRequest, _basis_rows, decompose_cnz
 from .embedding import (
     ODD_VARIANTS,
     EmbeddingMap,
+    QubitReadout,
     QubitSlot,
+    _counting_bits,
     _parse_bits,
     _read_out_rows,
     lift_single_qubit_gate,
@@ -52,10 +57,9 @@ BACKENDS = ("reference",) + METHODS
 # qubit-level circuit steps: ("u", qubit, TwoLevelUnitary) or ("cnz",)
 Step = tuple
 
-# A compiled run of gates: (flip first, gates). The flag marks where the
-# reference backend's exact multi-controlled Z, a sign flip on |1...1>, acts
-# before the gates; compiled backends splice their ladder in as gates.
-Run = tuple[bool, list[QuditGate]]
+# The one-qubit steps between two multi-controlled Zs: (gates on the 2^n
+# vector, the same steps lifted onto the register for the rest table).
+Layer = tuple[list[LevelPairGate], list[LevelPairGate]]
 
 
 def auto_iterations(n: int) -> int:
@@ -164,14 +168,6 @@ class GroverReport:
     distribution: dict[str, float]
 
 
-# A search runs on the sparse table when its register holds more than this
-# many amplitudes per outcome. The qubit ladder's clean work sites and the
-# qutrits' third level keep the live support near 2^n, so there the table's
-# O(support) gates beat the stride applier's O(register) ones; below it
-# (ququint, reference, small n) the stride applier is faster.
-_SPARSE_RATIO = 32
-
-
 def _prepare_backend(n: int, method: str, odd_variant: str):
     """Register, embedding, compiled multi-controlled-Z gates with same-site
     runs fused (None for the exact reference), and the per-gate
@@ -189,22 +185,23 @@ def _prepare_backend(n: int, method: str, odd_variant: str):
     )
 
 
-def _compile(
-    steps: list[Step], emap: EmbeddingMap, cnz_gates: list[QuditGate] | None
-) -> list[Run]:
-    """Register-level runs of a step list: one-qubit steps lifted onto their
-    sites, each multi-controlled Z replaced by ``cnz_gates`` or, for the
-    exact reference (``cnz_gates`` None), by a flip opening a new run."""
-    runs = [(False, [])]
+def _compile(steps: list[Step], emap: EmbeddingMap) -> list[Layer]:
+    """The layers of one-qubit steps between the multi-controlled Zs of a
+    step list. Within a layer the steps on one qubit fuse into one gate of
+    the 2^n vector, which lifts onto the register as a whole: a lift maps a
+    product to the product of the lifts."""
+    layers: list[list[LevelPairGate]] = [[]]
     for step in steps:
-        if step[0] == "u":
-            _, qubit, u = step
-            runs[-1][1].extend(lift_single_qubit_gate(u, qubit, emap))
-        elif cnz_gates is None:
-            runs.append((True, []))
+        if step[0] == "cnz":
+            layers.append([])
         else:
-            runs[-1][1].extend(cnz_gates)
-    return runs
+            _, qubit, u = step
+            layers[-1].append(LevelPairGate(qubit, 0, 1, u))
+    compiled = []
+    for gates in map(_fuse, layers):
+        lifted = [g for gate in gates for g in lift_single_qubit_gate(gate.u, gate.site, emap)]
+        compiled.append((gates, lifted))
+    return compiled
 
 
 def _fuse(gates: list[QuditGate]) -> list[QuditGate]:
@@ -231,69 +228,157 @@ def _fuse(gates: list[QuditGate]) -> list[QuditGate]:
     return out
 
 
-def _dense_probabilities(
-    register: QuditRegister, runs: list[Run], flip: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Live outcome rows after ``runs`` on |0...0>: flat indices in order
-    and their probabilities. The stride applier runs on the whole register;
-    ``flip`` is the index of |1...1>."""
-    dims = register.dims
-    arr = np.zeros(register.size, dtype=np.complex128)
-    arr[0] = 1.0  # |0...0> embeds at level 0 on every site
-    for flip_first, gates in runs:
-        if flip_first:
-            arr[flip] *= -1.0
+class _RowMap:
+    """Fixed rows ``new[key] += coef * old[src]``, grouped by key once."""
+
+    def __init__(self, src: np.ndarray, keys: np.ndarray, coefs: np.ndarray):
+        order = np.argsort(keys, kind="stable")
+        self.src, self.coefs, keys = src[order], coefs[order], keys[order]
+        self.first = _key_runs(keys)
+        self.keys = keys[self.first]
+
+    def __call__(self, old: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each key once, sorted, and its summed amplitude."""
+        return self.keys, np.add.reduceat(self.coefs * old[self.src], self.first)
+
+
+class _SearchState:
+    """A search's state as a 2^n vector over the view plus a rest table.
+
+    The view is the embedded basis: entry x of the vector is the amplitude
+    of register index ``emap.encode(x)`` (qubit 0 most significant, any
+    bystander at 0). Every other live amplitude, such as a work-site,
+    spare-level or bystander-1 row, is a sorted ``(key, amplitude)`` row of
+    the rest table, keyed by flat register index. Lifted one-qubit gates
+    keep computational levels computational and bystanders untouched, so
+    they never move a row between the two; only the ladder mixes them.
+
+    The ladder's action on the view is computed once: each view index is
+    pushed through it as its own amplitude-1 basis input (the verifier's
+    batched table, pruned as there), so by linearity one application is a
+    gather-add on the vector plus the rows it sends off the view. The rest
+    table goes through the ladder gate by gate; for a correct ladder it holds
+    at most rounding residues that survive the prune (a few rows near 1e-16
+    on the qubit ladder's work sites).
+    """
+
+    def __init__(self, emap: EmbeddingMap, ladder: list[QuditGate] | None):
+        n = emap.qubit_count
+        self.emap, self.ladder, self.shape = emap, ladder, (2,) * n
+        self.view = emap.encode(_counting_bits(n))
+        self.vector = np.zeros(2**n, dtype=np.complex128)
+        self.vector[0] = 1.0  # |0...0>
+        self.rest = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.complex128))
+        # the ladder's rows (view input, register index, amplitude)
+        if ladder is None:  # the reference's exact sign flip on |1...1>
+            src, index = np.arange(2**n), self.view
+            amps = np.ones(2**n, dtype=np.complex128)
+            amps[-1] = -1.0
+        else:
+            starts = range(0, 2**n, _BLOCK)
+            blocks = [
+                _basis_rows(emap.register, ladder, self.view[lo : lo + _BLOCK])
+                for lo in starts
+            ]
+            src = np.concatenate([owner + lo for (owner, _, _), lo in zip(blocks, starts)])
+            index = np.concatenate([b[1] for b in blocks])
+            amps = np.concatenate([b[2] for b in blocks])
+        dst, inside = self._locate(index)
+        self.gather = _RowMap(src[inside], dst[inside], amps[inside])
+        self.leak = _RowMap(src[~inside], index[~inside], amps[~inside])  # off the view
+
+    def _locate(self, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Vector entry of each flat register index, and whether it is in
+        the view (computational, bystanders at 0)."""
+        outcome, computational = self.emap.decode(index)
+        return outcome, computational & (self.view[outcome] == index)
+
+    def layer(self, layer: Layer) -> None:
+        """One layer of one-qubit steps on the vector and the rest table."""
+        gates, lifted = layer
         for gate in gates:
-            _apply_gate_inplace(arr, dims, gate)
-    probs = np.abs(arr) ** 2
-    live = np.flatnonzero(probs)
-    return live, probs[live]
+            _apply_gate_inplace(self.vector, self.shape, gate)
+        if len(self.rest[0]):
+            self.rest = _propagate_sparse(self.emap.register, lifted, *self.rest)
+
+    def apply_ladder(self) -> float:
+        """One multi-controlled Z; returns the probability then held off the
+        computational levels."""
+        old, new = self.vector, np.zeros_like(self.vector)
+        dst, amps = self.gather(old)
+        new[dst] = amps
+        keys, amps = self.rest
+        if len(keys):
+            keys, amps = _propagate_sparse(self.emap.register, self.ladder, keys, amps)
+            dst, inside = self._locate(keys)
+            new[dst[inside]] += amps[inside]  # one row per view index
+            keys, amps = keys[~inside], amps[~inside]
+        if len(self.leak.keys):
+            leak_keys, leaked = self.leak(old)
+            keys, amps = _sum_rows(
+                np.concatenate((keys, leak_keys)), np.concatenate((amps, leaked))
+            )
+            keep = np.abs(amps) > _PRUNE
+            keys, amps = keys[keep], amps[keep]
+        self.vector, self.rest = new, (keys, amps)
+        if not len(keys):
+            return 0.0
+        _, computational = self.emap.decode(keys)
+        return float(np.sum(np.abs(amps[~computational]) ** 2))
+
+    def read_out(self) -> QubitReadout:
+        keys, amps = self.rest
+        return _read_out_rows(
+            np.concatenate((self.view, keys)),
+            np.concatenate((np.abs(self.vector) ** 2, np.abs(amps) ** 2)),
+            self.emap,
+        )
 
 
-def _sparse_probabilities(
-    register: QuditRegister, runs: list[Run], flip: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The same rows from a one-input sparse table (key = flat index), in
-    O(live support) per gate; rows that survive off the computational
-    levels are kept, so read-out sees the leakage."""
-    keys = np.zeros(1, dtype=np.int64)
-    amps = np.ones(1, dtype=np.complex128)
-    for flip_first, gates in runs:
-        if flip_first:
-            amps[keys == flip] *= -1.0
-        keys, amps = _propagate_sparse(register, gates, keys, amps)
-    return keys, np.abs(amps) ** 2
+def _search(
+    emap: EmbeddingMap, ladder: list[QuditGate] | None, omega: str, k: int
+) -> tuple[QubitReadout, int | None]:
+    """Read-out after the Hadamard layer and ``k`` iterations, and the first
+    iteration in which a ladder left more than ``STATE_TOL`` of the
+    probability off the computational levels (None if none did)."""
+    n = emap.qubit_count
+    iteration = build_oracle(omega, n) + build_diffusion(n)
+    # the layers around the two Zs of an iteration, with the one-qubit steps
+    # of consecutive iterations joined: first, mid, wrap, mid, last
+    first, mid, wrap, _, last = _compile(
+        [("u", q, HADAMARD) for q in range(n)] + iteration * 2, emap
+    )
+    state = _SearchState(emap, ladder)
+    state.layer(first)
+    first_leak = None
+    for i in range(1, k + 1):
+        for layer in (mid, wrap if i < k else last):
+            if state.apply_ladder() > STATE_TOL and first_leak is None:
+                first_leak = i
+            state.layer(layer)
+    return state.read_out(), first_leak
 
 
 def run_grover(spec: GroverSpec) -> GroverReport:
     """Simulate a full search run and report the exact outcome distribution.
 
-    The Hadamard layer and one oracle + diffusion iteration are compiled to
-    register gates once; a register above ``_SPARSE_RATIO`` amplitudes per
-    outcome runs them on the sparse table, any other on the dense register.
+    The compiled ladder's action on the 2^n embedded basis states is
+    computed once per search; every iteration then runs on a 2^n vector
+    plus a table of the rows a faulty ladder leaves off it.
 
     Raises:
         RuntimeError: Probability escaped the computational levels (this
-            would indicate a broken decomposition, not user error).
+            would indicate a broken decomposition, not user error); the
+            message names the first iteration that leaked.
     """
     n = spec.n
-    register, emap, cnz_gates, per_count = _prepare_backend(
-        n, spec.method, spec.odd_variant
-    )
+    _, emap, ladder, per_count = _prepare_backend(n, spec.method, spec.odd_variant)
     k = auto_iterations(n) if spec.iterations == "auto" else int(spec.iterations)
-    prepare = _compile([("u", q, HADAMARD) for q in range(n)], emap, cnz_gates)
-    iteration = _compile(
-        build_oracle(spec.omega, n) + build_diffusion(n), emap, cnz_gates
-    )
-    flip = int(emap.encode([1] * n))
-    if register.size > _SPARSE_RATIO * 2**n:
-        engine = _sparse_probabilities
-    else:
-        engine = _dense_probabilities
-    readout = _read_out_rows(*engine(register, prepare + iteration * k, flip), emap)
+    readout, first_leak = _search(emap, ladder, spec.omega, k)
     if readout.leakage > STATE_TOL:
+        where = f" (first above STATE_TOL in iteration {first_leak})" if first_leak else ""
         raise RuntimeError(
-            f"leakage {readout.leakage} after a {spec.method} run; the "
+            f"leakage {readout.leakage} after a {spec.method} run{where}; the "
             "decomposition failed to restore its working levels"
         )
     return GroverReport(

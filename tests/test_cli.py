@@ -273,6 +273,42 @@ class TestOutsideInput:
         assert stderr.startswith("error: ")
 
 
+class TestRawLevelInput:
+    """Documents without an embedding take levels: one digit per site, or
+    comma-separated as the read-out prints sites above 10 levels."""
+
+    DOCUMENT = (
+        '{"version": 1, "dims": [11, 2], "gates": [{"cz": {"siteA": 0, "siteB": 1, '
+        '"i": 10, "j": 1, "phase": [-1, 0]}}]}'
+    )
+
+    def test_comma_separated_levels(self, tmp_path, capsys):
+        doc = tmp_path / "doc.json"
+        doc.write_text(self.DOCUMENT)
+        code, stdout, _ = run_cli(capsys, "simulate", str(doc), "--input", "10,1", "--probs")
+        assert (code, stdout) == (0, "outcome,probability\n10,1,1\n")
+
+    def test_digit_per_site(self, tmp_path, capsys):
+        doc = tmp_path / "doc.json"
+        doc.write_text(self.DOCUMENT)
+        code, stdout, _ = run_cli(capsys, "simulate", str(doc), "--input", "91", "--probs")
+        assert (code, stdout) == (0, "outcome,probability\n9,1,1\n")
+
+    def test_one_site_level_above_nine(self, tmp_path, capsys):
+        doc = tmp_path / "doc.json"
+        doc.write_text('{"version": 1, "dims": [11], "gates": []}')
+        code, stdout, _ = run_cli(capsys, "simulate", str(doc), "--input", "10", "--probs")
+        assert (code, stdout) == (0, "outcome,probability\n10,1\n")
+
+    @pytest.mark.parametrize("label", ["101", "1,x", "1,,0", "10,2"])
+    def test_bad_labels_are_usage_errors(self, tmp_path, capsys, label):
+        doc = tmp_path / "doc.json"
+        doc.write_text(self.DOCUMENT)
+        code, stdout, stderr = run_cli(capsys, "simulate", str(doc), "--input", label, "--probs")
+        assert (code, stdout) == (2, "")
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1
+
+
 class TestGrover:
     def test_fig3_instance(self, capsys):
         code, stdout, _ = run_cli(

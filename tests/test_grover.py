@@ -1,7 +1,10 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ququint import (
     HADAMARD,
@@ -11,6 +14,7 @@ from ququint import (
     LevelPairGate,
     QubitSlot,
     QuditCircuit,
+    TwoLevelUnitary,
     auto_iterations,
     circuit_unitary,
     decompose_cnz,
@@ -18,8 +22,9 @@ from ququint import (
     run_grover,
 )
 from ququint import grover
-from ququint.core import STATE_TOL
-from ququint.embedding import _read_out_rows
+from ququint.core import STATE_TOL, _apply_gate_inplace
+from ququint.decompose import METHODS
+from ququint.embedding import ODD_VARIANTS, lift_single_qubit_gate, read_out
 from ququint.grover import BACKENDS, build_diffusion, build_oracle
 
 
@@ -236,20 +241,47 @@ class TestMethodAgnosticism:
         assert all(slot is QubitSlot.SINGLE for _, slot in emap.assignments)
 
 
-def _both_engines(n, method, gates_of=lambda gates: gates, k=None, omega=None):
-    """Read-outs of one search from the dense and the sparse engine."""
-    register, emap, cnz_gates, _ = grover._prepare_backend(n, method, "single")
-    if cnz_gates is not None:
-        cnz_gates = gates_of(cnz_gates)
-    omega = omega or "1" * n
-    runs = grover._compile([("u", q, HADAMARD) for q in range(n)], emap, cnz_gates)
-    iteration = build_oracle(omega, n) + build_diffusion(n)
-    runs += grover._compile(iteration, emap, cnz_gates) * (k or auto_iterations(n))
+def _full_register_run(emap, ladder, omega, k):
+    """Read-out of one search on a register-sized array, independent of the
+    engine: every lifted one-qubit step and every ladder gate through the
+    in-place stride applier, and for the reference (``ladder`` None) a numpy
+    sign flip on |1...1>."""
+    register, n = emap.register, emap.qubit_count
+    arr = np.zeros(register.size, dtype=complex)
+    arr[0] = 1.0
     flip = register.index(embed_basis_state("1" * n, emap))
-    return tuple(
-        _read_out_rows(*engine(register, runs, flip), emap)
-        for engine in (grover._dense_probabilities, grover._sparse_probabilities)
-    )
+    iteration = build_oracle(omega, n) + build_diffusion(n)
+    for step in [("u", q, HADAMARD) for q in range(n)] + iteration * k:
+        if step[0] == "u":
+            gates = lift_single_qubit_gate(step[2], step[1], emap)
+        elif ladder is None:
+            arr[flip] *= -1.0
+            continue
+        else:
+            gates = ladder
+        for gate in gates:
+            _apply_gate_inplace(arr, register.dims, gate)
+    return read_out(np.abs(arr) ** 2, emap)
+
+
+def _both_engines(
+    n, method, gates_of=lambda gates: gates, k=None, omega=None, variant="single"
+):
+    """Read-outs of one search from a full-register run and from the engine
+    ``run_grover`` uses."""
+    _, emap, ladder, _ = grover._prepare_backend(n, method, variant)
+    if ladder is not None:
+        ladder = gates_of(ladder)
+    omega = omega or "1" * n
+    k = k or auto_iterations(n)
+    return _full_register_run(emap, ladder, omega, k), grover._search(emap, ladder, omega, k)[0]
+
+
+def _assert_same_readout(full, engine):
+    assert full.probabilities.keys() == engine.probabilities.keys()
+    for key, p in full.probabilities.items():
+        assert abs(engine.probabilities[key] - p) <= STATE_TOL, key
+    assert engine.leakage == pytest.approx(full.leakage, abs=STATE_TOL)
 
 
 class TestEngines:
@@ -270,18 +302,11 @@ class TestEngines:
         [("qutrit", 8, "dense"), ("qutrit", 9, "sparse"), ("qubit", 7, "dense"),
          ("ququint", 10, "dense"), ("reference", 12, "dense")],
     )
-    def test_sparse_above_32_amplitudes_per_outcome(self, monkeypatch, method, n, engine):
-        # qutrit n=8 / 9 span 25.6 / 38.4 amplitudes per outcome, qubit n=7 32
-        used = []
-        for name in ("dense", "sparse"):
-            real = getattr(grover, f"_{name}_probabilities")
-            monkeypatch.setattr(
-                grover,
-                f"_{name}_probabilities",
-                lambda *args, name=name, real=real: used.append(name) or real(*args),
-            )
+    def test_sparse_above_32_amplitudes_per_outcome(self, method, n, engine):
+        # ``engine`` names the engine an earlier register-size rule picked
+        # for the case (qutrit n=8 / 9 span 25.6 / 38.4 amplitudes per
+        # outcome, qubit n=7 32); every search now runs on one engine
         report = run_grover(GroverSpec(n, "1" * n, method, iterations=1))
-        assert used == [engine]
         assert report.success_probability == pytest.approx(analytic_success(n, 1), abs=1e-9)
 
     def test_fused_qubit_ladder_keeps_its_unitary(self):
@@ -293,17 +318,70 @@ class TestEngines:
     def test_leaking_ladder_reports_the_same_leakage(self, monkeypatch):
         # a final Hadamard on the first work site; a final X would cancel,
         # since each iteration runs the ladder twice and nothing else
-        # touches the work sites
-        n = 4
-        register, emap, gates, count = grover._prepare_backend(n, "qubit", "single")
-        leaking = list(gates) + [LevelPairGate(emap.work_sites[0], 0, 1, HADAMARD)]
-        dense, sparse = _both_engines(n, "qubit", lambda _: leaking)
-        assert dense.leakage > 0.5
-        assert sparse.leakage == pytest.approx(dense.leakage, abs=STATE_TOL)
-        for key, p in dense.probabilities.items():
-            assert abs(sparse.probabilities[key] - p) <= STATE_TOL, key
+        # touches the work sites. n=8 once ran on another engine than n=4.
+        for n in (4, 8):
+            register, emap, gates, count = grover._prepare_backend(n, "qubit", "single")
+            leaking = list(gates) + [LevelPairGate(emap.work_sites[0], 0, 1, HADAMARD)]
+            dense, sparse = _both_engines(n, "qubit", lambda _: leaking)
+            assert dense.leakage > 0.5
+            assert sparse.leakage == pytest.approx(dense.leakage, abs=STATE_TOL)
+            for key, p in dense.probabilities.items():
+                assert abs(sparse.probabilities[key] - p) <= STATE_TOL, key
+            with monkeypatch.context() as patch, pytest.raises(RuntimeError, match="leakage"):
+                patch.setattr(
+                    grover, "_prepare_backend", lambda *_: (register, emap, leaking, count)
+                )
+                run_grover(GroverSpec(n, "1" * n, "qubit"))
+
+    def test_leak_names_the_first_iteration_above_tolerance(self, monkeypatch):
+        # a small rotation from level 1 into the spare level 2 of qutrit
+        # site 0 after the ladder: the leakage rises and falls from ladder
+        # to ladder and first passes STATE_TOL in the third iteration
+        register, emap, gates, count = grover._prepare_backend(5, "qutrit", "single")
+        theta = 1.25e-5
+        u = TwoLevelUnitary(math.cos(theta), -math.sin(theta), math.sin(theta), math.cos(theta))
+        leaking = list(gates) + [LevelPairGate(0, 1, 2, u)]
+        full = [_full_register_run(emap, leaking, "10110", k).leakage for k in (1, 2, 3)]
+        assert full[0] < STATE_TOL and full[1] < STATE_TOL < full[2]
         monkeypatch.setattr(
             grover, "_prepare_backend", lambda *_: (register, emap, leaking, count)
         )
-        with pytest.raises(RuntimeError, match="leakage"):
-            run_grover(GroverSpec(n, "1" * n, "qubit"))
+        with pytest.raises(
+            RuntimeError, match=r"^leakage \S+ after a qutrit run \(first above STATE_TOL in iteration 3\)"
+        ):
+            run_grover(GroverSpec(5, "10110", "qutrit", iterations=3))
+
+    def test_work_site_leak_is_named_in_the_first_iteration(self, monkeypatch):
+        register, emap, gates, count = grover._prepare_backend(4, "qubit", "single")
+        leaking = list(gates) + [LevelPairGate(emap.work_sites[0], 0, 1, HADAMARD)]
+        monkeypatch.setattr(
+            grover, "_prepare_backend", lambda *_: (register, emap, leaking, count)
+        )
+        with pytest.raises(RuntimeError, match=r"\(first above STATE_TOL in iteration 1\)"):
+            run_grover(GroverSpec(4, "1111", "qubit"))
+
+
+@st.composite
+def two_level_unitaries(draw):
+    theta, phi = draw(st.floats(0, np.pi)), draw(st.floats(0, 2 * np.pi))
+    c, s, z = math.cos(theta), math.sin(theta), cmath.exp(1j * phi)
+    return draw(st.sampled_from([HADAMARD, TwoLevelUnitary(c, -s * z.conjugate(), s * z, c)]))
+
+
+@given(st.sampled_from(METHODS), st.integers(3, 6), st.data())
+def test_appended_level_pair_gate_matches_full_register(method, n, data):
+    """Any level-pair gate after the ladder, leaking or mixing computational
+    levels or not: the engine agrees with the full-register run."""
+    variant = data.draw(st.sampled_from(ODD_VARIANTS)) if method == "ququint" else "single"
+    register = grover._prepare_backend(n, method, variant)[0]
+    site = data.draw(st.integers(0, register.num_sites - 1))
+    i, j = sorted(data.draw(st.lists(
+        st.integers(0, register.dims[site] - 1), min_size=2, max_size=2, unique=True
+    )))
+    gate = LevelPairGate(site, i, j, data.draw(two_level_unitaries()))
+    omega = "".join(data.draw(st.lists(st.sampled_from("01"), min_size=n, max_size=n)))
+    k = data.draw(st.integers(1, auto_iterations(n)))
+    full, engine = _both_engines(
+        n, method, lambda gates: list(gates) + [gate], k=k, omega=omega, variant=variant
+    )
+    _assert_same_readout(full, engine)
