@@ -81,16 +81,18 @@ def cmd_verify(args) -> int:
             document.circuit.two_qudit_gate_count,
             0,
         )
+        if args.target is not None:
+            raise ValueError("--target applies to --n/--method; a document names its own")
         target = document.target_qubit
     elif args.n is None or args.method is None:
         raise ValueError("either --circuit or both --n and --method are required")
     else:
-        result, target = None, None
+        result, target = None, _parse_target("z" if args.target is None else args.target)
     n = args.n if result is None else result.embedding.qubit_count
     if n > 10:  # refused before a ladder is compiled for nothing
         raise ValueError(f"verification sweeps support n <= 10, got n={n}")
     if result is None:
-        result = decompose_cnz(DecompositionRequest(n, args.method, args.odd_variant))
+        result = decompose_cnz(DecompositionRequest(n, args.method, args.odd_variant, target))
     subset = None if (args.exhaustive or 2**n <= _SAMPLE_INPUTS) else _sample_bitstrings(n)
     report = verify_decomposition(result, target_qubit=target, bits_subset=subset)
     print(
@@ -229,6 +231,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--method", choices=METHODS)
     p.add_argument("--odd-variant", default="single", choices=ODD_VARIANTS)
+    p.add_argument(
+        "--target",
+        help="with --n/--method: 'z' (default) for the phase gate, 'x:<idx>' for an "
+        "inversion target",
+    )
     p.add_argument("--circuit", help="verify this document instead of compiling one")
     p.add_argument("--exhaustive", action="store_true", help="sweep all 2^n basis inputs")
     p.set_defaults(func=cmd_verify)

@@ -414,9 +414,9 @@ def _propagate_sparse(
     """Run ``gates`` on a table of (key, amplitude) rows sorted by key.
 
     Phases multiply the matching rows in place. A mixing level-pair gate
-    emits, for each row on its level pair, the row and its partner; equal
-    keys are then summed and rows with |amplitude| <= ``_PRUNE`` dropped.
-    Returns the new sorted keys and amplitudes.
+    emits, for each row on its level pair, the row and its partner, and
+    merges the pairs of equal keys (``_merge_pairs``). Returns the new sorted
+    keys and amplitudes.
     """
     dims, strides = register.dims, register.strides
     amps = np.array(amps, dtype=np.complex128)
@@ -440,14 +440,13 @@ def _propagate_sparse(
         rest = ~(on_i | on_j)
         key_i, key_j = keys[on_i], keys[on_j]
         amp_i, amp_j = amps[on_i], amps[on_j]
-        keys = np.concatenate((keys[rest], key_i, key_i + shift, key_j - shift, key_j))
-        amps = np.concatenate(
-            (amps[rest], amp_i * u.alpha, amp_i * u.gamma, amp_j * u.beta, amp_j * u.delta)
-        )
         # a key occurs at most twice: a row's own term and its partner's
-        keys, amps = _sum_rows(keys, amps)
-        keep = np.abs(amps) > _PRUNE
-        keys, amps = keys[keep], amps[keep]
+        keys, amps = _merge_pairs(
+            np.concatenate((keys[rest], key_i, key_i + shift, key_j - shift, key_j)),
+            np.concatenate(
+                (amps[rest], amp_i * u.alpha, amp_i * u.gamma, amp_j * u.beta, amp_j * u.delta)
+            ),
+        )
     return keys, amps
 
 
@@ -458,12 +457,17 @@ def _key_runs(sorted_keys: np.ndarray) -> np.ndarray:
     return np.flatnonzero(first)
 
 
-def _sum_rows(keys: np.ndarray, amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows sorted by key, the amplitudes of equal keys summed into one."""
+def _merge_pairs(keys: np.ndarray, amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows sorted by key, each key at most twice on input and once on
+    output with the two amplitudes summed, and rows with |amplitude| <=
+    ``_PRUNE`` dropped."""
     order = np.argsort(keys, kind="stable")  # radix sort on int keys
     keys, amps = keys[order], amps[order]
-    first = _key_runs(keys)
-    return keys[first], np.add.reduceat(amps, first)
+    second = np.flatnonzero(keys[1:] == keys[:-1]) + 1
+    amps[second - 1] += amps[second]
+    keep = np.abs(amps) > _PRUNE
+    keep[second] = False
+    return keys[keep], amps[keep]
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -296,15 +297,60 @@ def decompose_cnz(request: DecompositionRequest) -> DecompositionResult:
 # a handful of basis states at any moment, so the sweep never builds a dense
 # vector: it pushes a block of inputs through the circuit together as one
 # sparse table with a row per live amplitude, keyed by (input, flat index)
-# (``core._propagate_sparse``). Blocks of ``_BLOCK`` inputs bound the table,
-# and with it peak memory, whatever n is. Start and expected indices are
-# encoded for every input at once (``EmbeddingMap.encode``), and per-input
-# errors and leakage are reduced over the table's rows. Tests cross-check
-# the sparse propagator against the dense applier. Grover searches take
-# their ladder's action on the embedded basis from the same rows.
+# (``core._propagate_sparse``). A mixing gate emits each row on its level
+# pair and its partner row, sorts once, and adds the (at most two) rows of
+# each key. Blocks of ``_BLOCK`` inputs bound the table, and with it peak
+# memory, whatever n is: at 1-5 rows per input a block is about 100 KiB.
+# Same-site runs of level-pair gates are fused once per circuit (``_fuse``;
+# the qubit ladder at n=10 drops from 433 to 234 gates) before any block
+# runs. Start and expected indices are encoded for every input at once
+# (``EmbeddingMap.encode``), and per-input errors and leakage are reduced
+# over the table's rows. Tests cross-check the sparse propagator against the
+# dense applier. Grover searches take their ladder's action on the embedded
+# basis from the same rows.
 # ---------------------------------------------------------------------------
 
-_BLOCK = 256  # inputs propagated together
+_BLOCK = 1024  # inputs propagated together
+
+
+class _Product(NamedTuple):
+    """Entries of a product of level-pair unitaries, not re-checked: each
+    factor is unitary within ``MATRIX_TOL``, their product may drift past it."""
+
+    alpha: complex
+    beta: complex
+    gamma: complex
+    delta: complex
+
+
+def _fuse(gates: list[QuditGate]) -> list[QuditGate]:
+    """Multiply each level-pair gate into the previous gate on its site when
+    that one is a level-pair gate on the same two levels. Only gates on other
+    sites lie between them, so the later gate commutes back to the earlier
+    one. This merges the qubit ladder's chains of T and H gates on one site
+    (433 -> 234 gates at n=10); the qutrit and ququint ladders have none."""
+    out: list[QuditGate] = []
+    last: dict[int, int] = {}  # site -> index in out of its last level-pair gate
+    for gate in gates:
+        if isinstance(gate, TwoQuditCZ):
+            last.pop(gate.site_a, None)
+            last.pop(gate.site_b, None)
+            out.append(gate)
+            continue
+        k = last.get(gate.site)
+        if k is not None and (out[k].i, out[k].j) == (gate.i, gate.j):
+            p, q = gate.u, out[k].u  # p after q
+            u = _Product(
+                p.alpha * q.alpha + p.beta * q.gamma,
+                p.alpha * q.beta + p.beta * q.delta,
+                p.gamma * q.alpha + p.delta * q.gamma,
+                p.gamma * q.beta + p.delta * q.delta,
+            )
+            out[k] = LevelPairGate(gate.site, gate.i, gate.j, u)
+        else:
+            last[gate.site] = len(out)
+            out.append(gate)
+    return out
 
 
 def _propagate_basis(
@@ -348,12 +394,13 @@ def _basis_rows(
     return owner, index, amps
 
 
-def _block_scores(result, starts, expects, signs):
+def _block_scores(result, gates, starts, expects, signs):
     """Amplitude error and leakage of each input of one block, propagated
-    together from flat indices ``starts``; each input should end at
-    ``expects`` with amplitude ``signs``."""
+    together through ``gates`` (``result``'s circuit, fused) from flat
+    indices ``starts``; each input should end at ``expects`` with amplitude
+    ``signs``."""
     count = len(starts)
-    owner, index, amps = _basis_rows(result.circuit.register, result.circuit.gates, starts)
+    owner, index, amps = _basis_rows(result.circuit.register, gates, starts)
     hit = index == expects[owner]
     wanted = np.where(hit, signs[owner], 0.0)
     errors = np.zeros(count)
@@ -410,11 +457,12 @@ def verify_decomposition(
     starts, expects = encode(bits), encode(expected)
     signs = np.repeat(signs, len(bystanders))
 
+    gates = _fuse(result.circuit.gates)
     errors, leaks = np.zeros(len(starts)), np.zeros(len(starts))
     for lo in range(0, len(starts), _BLOCK):
         block = slice(lo, lo + _BLOCK)
         errors[block], leaks[block] = _block_scores(
-            result, starts[block], expects[block], signs[block]
+            result, gates, starts[block], expects[block], signs[block]
         )
 
     report = VerificationReport(

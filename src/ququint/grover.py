@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    _PRUNE,
     HADAMARD,
     PAULI_X,
     STATE_TOL,
@@ -33,14 +32,19 @@ from .core import (
     LevelPairGate,
     QuditGate,
     QuditRegister,
-    TwoLevelUnitary,
-    TwoQuditCZ,
     _apply_gate_inplace,
     _key_runs,
+    _merge_pairs,
     _propagate_sparse,
-    _sum_rows,
 )
-from .decompose import _BLOCK, METHODS, DecompositionRequest, _basis_rows, decompose_cnz
+from .decompose import (
+    _BLOCK,
+    METHODS,
+    DecompositionRequest,
+    _basis_rows,
+    _fuse,
+    decompose_cnz,
+)
 from .embedding import (
     ODD_VARIANTS,
     EmbeddingMap,
@@ -204,30 +208,6 @@ def _compile(steps: list[Step], emap: EmbeddingMap) -> list[Layer]:
     return compiled
 
 
-def _fuse(gates: list[QuditGate]) -> list[QuditGate]:
-    """Multiply each level-pair gate into the previous gate on its site when
-    that one is a level-pair gate on the same two levels. Only gates on other
-    sites lie between them, so the later gate commutes back to the earlier
-    one. This merges the qubit ladder's chains of T and H gates on one site
-    (325 -> 176 gates at n=8); the qutrit and ququint ladders have none."""
-    out: list[QuditGate] = []
-    last: dict[int, int] = {}  # site -> index in out of its last level-pair gate
-    for gate in gates:
-        if isinstance(gate, TwoQuditCZ):
-            last.pop(gate.site_a, None)
-            last.pop(gate.site_b, None)
-            out.append(gate)
-            continue
-        k = last.get(gate.site)
-        if k is not None and (out[k].i, out[k].j) == (gate.i, gate.j):
-            u = TwoLevelUnitary.from_matrix(gate.u.matrix @ out[k].u.matrix)
-            out[k] = LevelPairGate(gate.site, gate.i, gate.j, u)
-        else:
-            last[gate.site] = len(out)
-            out.append(gate)
-    return out
-
-
 class _RowMap:
     """Fixed rows ``new[key] += coef * old[src]``, grouped by key once."""
 
@@ -314,12 +294,11 @@ class _SearchState:
             new[dst[inside]] += amps[inside]  # one row per view index
             keys, amps = keys[~inside], amps[~inside]
         if len(self.leak.keys):
+            # rest keys are unique, and so are the leak keys
             leak_keys, leaked = self.leak(old)
-            keys, amps = _sum_rows(
+            keys, amps = _merge_pairs(
                 np.concatenate((keys, leak_keys)), np.concatenate((amps, leaked))
             )
-            keep = np.abs(amps) > _PRUNE
-            keys, amps = keys[keep], amps[keep]
         self.vector, self.rest = new, (keys, amps)
         if not len(keys):
             return 0.0

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from ququint import load_document
+from ququint import DecompositionRequest, decompose_cnz, load_document
 from ququint.cli import main
 
 
@@ -128,6 +128,45 @@ class TestVerify:
             assert code == 0
             code, stdout, _ = run_cli(capsys, "verify", "--circuit", str(out), "--exhaustive")
             assert (code, stdout.splitlines()[-1]) == (0, "PASS"), (target, stdout)
+
+    @pytest.mark.parametrize("method", ["ququint", "qutrit", "qubit"])
+    def test_target_flag_matches_the_document_route(self, tmp_path, capsys, method):
+        out = tmp_path / "doc.json"
+        run_cli(capsys, "decompose", "--n", "5", "--method", method,
+                "--target", "x:2", "--out", str(out))
+        by_document = run_cli(capsys, "verify", "--circuit", str(out), "--exhaustive")
+        by_flag = run_cli(
+            capsys, "verify", "--n", "5", "--method", method, "--target", "x:2", "--exhaustive"
+        )
+        assert by_flag == by_document
+        assert (by_flag[0], by_flag[1].splitlines()[-1]) == (0, "PASS")
+
+    def test_target_flag_reaches_the_verifier(self, capsys, monkeypatch):
+        # the phase gate checked as an inversion on qubit 0 must fail
+        phase = decompose_cnz(DecompositionRequest(4, "qutrit"))
+        monkeypatch.setattr("ququint.cli.decompose_cnz", lambda request: phase)
+        code, stdout, _ = run_cli(
+            capsys, "verify", "--n", "4", "--method", "qutrit", "--target", "x:0", "--exhaustive"
+        )
+        assert code == 1
+        assert stdout.splitlines()[-1] == "FAIL input=0111"
+
+    @pytest.mark.parametrize("target", ["x:5", "x:-1", "x:one", "y", ""])
+    def test_bad_target_flag(self, capsys, target):
+        code, stdout, stderr = run_cli(
+            capsys, "verify", "--n", "5", "--method", "qutrit", "--target", target
+        )
+        assert (code, stdout) == (2, "")
+        assert stderr.startswith("error:") and len(stderr.splitlines()) == 1
+
+    def test_target_flag_refused_with_a_document(self, tmp_path, capsys):
+        out = tmp_path / "doc.json"
+        run_cli(capsys, "decompose", "--n", "3", "--method", "qutrit", "--out", str(out))
+        code, stdout, stderr = run_cli(
+            capsys, "verify", "--circuit", str(out), "--target", "x:0"
+        )
+        assert (code, stdout) == (2, "")
+        assert stderr.startswith("error:")
 
     def test_sampled_mode_on_large_n(self, capsys):
         code, stdout, _ = run_cli(capsys, "verify", "--n", "9", "--method", "qutrit")

@@ -1,4 +1,6 @@
 import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,12 +8,14 @@ import pytest
 from ququint import (
     PAULI_X,
     PAULI_Z,
+    CircuitDocument,
     DecompositionRequest,
     DecompositionResult,
     LevelPairGate,
     QuditCircuit,
     QuditRegister,
     StateVector,
+    TwoLevelUnitary,
     TwoQuditCZ,
     apply_circuit,
     build_cx,
@@ -21,7 +25,9 @@ from ququint import (
     decompose_cnz_ququint,
     decompose_cnz_qutrit,
     embed_basis_state,
+    load_document,
     reported_count,
+    save_document,
     verify_decomposition,
 )
 from ququint.decompose import T_GATE, _propagate_basis, to_cnx
@@ -423,6 +429,17 @@ def without_centre(result):
     return with_gates(result, gates[:lo] + gates[hi:])
 
 
+def t_swapped_for_dagger(result, qubit):
+    """The first T gate on ``qubit``'s site replaced by T^dagger."""
+    gates = list(result.circuit.gates)
+    pick = next(
+        i for i, g in enumerate(gates)
+        if isinstance(g, LevelPairGate) and g.site == qubit and g.u == T_GATE
+    )
+    gates[pick] = gates[pick].dagger()
+    return with_gates(result, gates)
+
+
 class TestVerificationFailures:
     """Exact report fields of circuits that must FAIL."""
 
@@ -447,14 +464,7 @@ class TestVerificationFailures:
     def test_qubit_t_swapped_for_dagger(self, qubit):
         # every gate on a control site is diagonal there, so T -> T^dagger
         # commutes out as diag(1, -i): error |(-i) - 1| on inputs with it at 1
-        result = decompose_cnz_qubit(5)
-        gates = list(result.circuit.gates)
-        pick = next(
-            i for i, g in enumerate(gates)
-            if isinstance(g, LevelPairGate) and g.site == qubit and g.u == T_GATE
-        )
-        gates[pick] = gates[pick].dagger()
-        report = verify_decomposition(with_gates(result, gates))
+        report = verify_decomposition(t_swapped_for_dagger(decompose_cnz_qubit(5), qubit))
         assert abs(report.max_amplitude_error - np.sqrt(2)) < 1e-12
         assert report.inputs_checked == 32
         assert report.worst_input[qubit] == "1"
@@ -502,3 +512,69 @@ class TestVerificationFailures:
     def test_bits_subset_rejects_malformed(self, subset):
         with pytest.raises(ValueError):
             verify_decomposition(decompose_cnz_qutrit(2), bits_subset=subset)
+
+
+class TestVerificationFusion:
+    def test_fusion_accepts_near_unitary_runs(self):
+        # each diag(1, 1 + 4.9e-13) passes the unitarity check, their
+        # product does not; verifying must not re-check fused products
+        result = decompose_cnz_qubit(3)
+        drift = TwoLevelUnitary(1, 0, 0, 1 + 4.9e-13)
+        gates = result.circuit.gates + [LevelPairGate(0, 0, 1, drift)] * 3
+        document = load_document(save_document(CircuitDocument(
+            QuditCircuit(result.circuit.register, gates), result.embedding
+        )))
+        report = verify_decomposition(with_gates(result, document.circuit.gates))
+        assert report.passed()
+        assert report.max_amplitude_error == pytest.approx(1.47e-12, rel=1e-3)
+        assert report.inputs_checked == 8
+
+
+def cross_check_cases():
+    """Name -> thunk returning (compiled result, target) for every method,
+    layout and target at n = 2..10, and for FAIL mutants: the centre dropped
+    (ququint neighbor and qutrit) and one T swapped for T^dagger (qubit)."""
+    cases = {}
+    for n in range(2, 11):
+        layouts = [("ququint", "single"), ("qutrit", "single"), ("qubit", "single")]
+        if n % 2:
+            layouts.append(("ququint", "neighbor"))
+        for method, variant in layouts:
+            layout = method + ("-neighbor" if variant == "neighbor" else "")
+            for target in (None, *range(n)):
+                request = DecompositionRequest(n, method, variant, target)
+                shape = "z" if target is None else f"x:{target}"
+                cases[f"{layout} n={n} {shape}"] = (
+                    lambda request=request: (decompose_cnz(request), request.target_qubit)
+                )
+    cases["ququint-neighbor n=9 drop-centre"] = lambda: (
+        without_centre(decompose_cnz_ququint(9, "neighbor")), None
+    )
+    cases["qutrit n=9 drop-centre"] = lambda: (without_centre(decompose_cnz_qutrit(9)), None)
+    for n in (5, 9):
+        for qubit in range(n - 1):
+            cases[f"qubit n={n} t-dagger:{qubit}"] = lambda n=n, qubit=qubit: (
+                t_swapped_for_dagger(decompose_cnz_qubit(n), qubit), None
+            )
+    return cases
+
+
+# Reports of every cross-check case from the verifier as it stood before
+# same-site fusion, pair merging and 1,024-input blocks: one gate at a time
+# in blocks of 256 inputs, equal keys summed with np.add.reduceat.
+REFERENCE_REPORTS = json.loads(
+    (Path(__file__).parent / "verify_reports.json").read_text(encoding="utf-8")
+)
+CROSS_CHECK_CASES = cross_check_cases()
+
+
+@pytest.mark.parametrize("name", sorted(CROSS_CHECK_CASES))
+def test_verify_matches_reference_reports(name):
+    result, target = CROSS_CHECK_CASES[name]()
+    report = verify_decomposition(result, target_qubit=target)
+    expected = REFERENCE_REPORTS[name]
+    assert report.passed() == expected["passed"]
+    assert report.inputs_checked == expected["inputs_checked"]
+    assert report.worst_input == expected["worst_input"]
+    assert abs(report.max_amplitude_error - expected["max_amplitude_error"]) <= 1e-14
+    assert abs(report.max_leakage - expected["max_leakage"]) <= 1e-14

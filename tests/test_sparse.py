@@ -51,7 +51,13 @@ def circuits(draw):
     sites = st.integers(0, len(dims) - 1)
     gates = []
     for _ in range(draw(st.integers(0, 12))):
-        if draw(st.booleans()):
+        kind = draw(st.sampled_from(["pair", "run", "cz"]))
+        pairs = [g for g in gates if isinstance(g, LevelPairGate)]
+        if kind == "run" and pairs:
+            # the levels of the last level-pair gate again: a same-site run
+            last = pairs[-1]
+            gates.append(LevelPairGate(last.site, last.i, last.j, draw(unitaries())))
+        elif kind != "cz":
             site = draw(sites)
             i, j = sorted(draw(st.lists(
                 st.integers(0, dims[site] - 1), min_size=2, max_size=2, unique=True
@@ -74,19 +80,25 @@ def dense_columns(circuit):
     ], axis=1)
 
 
+def batched_columns(register, gates):
+    """Column k: ``gates`` applied to basis state k, every basis state in
+    one table of the sparse propagator."""
+    size = register.size
+    starts = np.arange(size)
+    keys, amps = _propagate_sparse(register, gates, starts * size + starts, np.ones(size))
+    assert np.all(np.diff(keys) > 0)  # sorted by (input, index), no duplicates
+    batched = np.zeros((size, size), dtype=complex)
+    inputs, index = np.divmod(keys, size)
+    batched[index, inputs] = amps
+    return batched
+
+
 @given(circuits())
 def test_sparse_propagation_matches_dense(circuit):
     register = circuit.register
     size = register.size
     dense = dense_columns(circuit)
-
-    starts = np.arange(size)
-    keys, amps = _propagate_sparse(register, circuit.gates, starts * size + starts, np.ones(size))
-    assert np.all(np.diff(keys) > 0)  # sorted by (input, index), no duplicates
-    batched = np.zeros((size, size), dtype=complex)
-    inputs, index = np.divmod(keys, size)
-    batched[index, inputs] = amps
-    assert np.max(np.abs(batched - dense)) < STATE_TOL
+    assert np.max(np.abs(batched_columns(register, circuit.gates) - dense)) < STATE_TOL
 
     for start in range(size):
         single = np.zeros(size, dtype=complex)
@@ -105,6 +117,14 @@ def test_same_site_fusion_keeps_the_unitary(circuit):
     fused = QuditCircuit(circuit.register, _fuse(circuit.gates))
     assert len(fused) <= len(circuit)
     assert np.abs(circuit_unitary(fused) - circuit_unitary(circuit)).max() <= STATE_TOL
+
+
+@given(circuits())
+def test_fused_sparse_propagation_matches_dense(circuit):
+    # the exhaustive verifier's route: fuse same-site runs once, then
+    # propagate every input through the fused gates
+    batched = batched_columns(circuit.register, _fuse(circuit.gates))
+    assert np.max(np.abs(batched - dense_columns(circuit))) < STATE_TOL
 
 
 @given(circuits())
