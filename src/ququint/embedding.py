@@ -18,6 +18,7 @@ leakage, never silently renormalized.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -273,7 +274,15 @@ class QubitReadout:
     leakage: float
 
     def top_outcome(self) -> str:
-        return max(self.probabilities, key=lambda k: self.probabilities[k])
+        """The most probable bitstring; the first in ascending order on a tie."""
+        return max(self.probabilities, key=self.probabilities.__getitem__)
+
+
+@functools.lru_cache(maxsize=16)
+def _bit_labels(n: int) -> tuple[str, ...]:
+    """The 2^n qubit bitstrings in index order, qubit 0 leftmost. Built
+    once per n; the cache holds more sizes than the eleven a search admits."""
+    return tuple(format(i, f"0{n}b") for i in range(2**n))
 
 
 def _read_out_rows(indices, weights, emap: EmbeddingMap) -> QubitReadout:
@@ -283,8 +292,7 @@ def _read_out_rows(indices, weights, emap: EmbeddingMap) -> QubitReadout:
     outcome, ok = emap.decode(indices)  # ok: on computational levels
     n = emap.qubit_count
     table = np.bincount(outcome[ok], weights=weights[ok], minlength=2**n)
-    labels = {format(i, f"0{n}b"): float(p) for i, p in enumerate(table)}
-    return QubitReadout(labels, float(weights[~ok].sum()))
+    return QubitReadout(dict(zip(_bit_labels(n), table.tolist())), float(weights[~ok].sum()))
 
 
 def read_out(probabilities: np.ndarray, emap: EmbeddingMap) -> QubitReadout:

@@ -61,9 +61,10 @@ BACKENDS = ("reference",) + METHODS
 # qubit-level circuit steps: ("u", qubit, TwoLevelUnitary) or ("cnz",)
 Step = tuple
 
-# The one-qubit steps between two multi-controlled Zs: (gates on the 2^n
-# vector, the same steps lifted onto the register for the rest table).
-Layer = tuple[list[LevelPairGate], list[LevelPairGate]]
+# The one-qubit steps between two multi-controlled Zs: the Kronecker factors
+# A and B^T of their action on the 2^n vector, and the same steps lifted onto
+# the register for the rest table.
+Layer = tuple[np.ndarray, np.ndarray, list[LevelPairGate]]
 
 
 def auto_iterations(n: int) -> int:
@@ -189,11 +190,20 @@ def _prepare_backend(n: int, method: str, odd_variant: str):
     )
 
 
-def _compile(steps: list[Step], emap: EmbeddingMap) -> list[Layer]:
+def _factor(gates: list[LevelPairGate], lo: int, k: int) -> np.ndarray:
+    """The 2^k x 2^k matrix of the gates on qubits lo..lo+k-1: each runs
+    through the stride kernel on the row digits of an identity matrix."""
+    m = np.eye(2**k, dtype=np.complex128)
+    dims = (2,) * k + (2**k,)
+    for gate in gates:
+        if lo <= gate.site < lo + k:
+            _apply_gate_inplace(m, dims, LevelPairGate(gate.site - lo, gate.i, gate.j, gate.u))
+    return m
+
+
+def _layers(steps: list[Step]) -> list[list[LevelPairGate]]:
     """The layers of one-qubit steps between the multi-controlled Zs of a
-    step list. Within a layer the steps on one qubit fuse into one gate of
-    the 2^n vector, which lifts onto the register as a whole: a lift maps a
-    product to the product of the lifts."""
+    step list, the steps on one qubit within a layer fused into one gate."""
     layers: list[list[LevelPairGate]] = [[]]
     for step in steps:
         if step[0] == "cnz":
@@ -201,11 +211,20 @@ def _compile(steps: list[Step], emap: EmbeddingMap) -> list[Layer]:
         else:
             _, qubit, u = step
             layers[-1].append(LevelPairGate(qubit, 0, 1, u))
-    compiled = []
-    for gates in map(_fuse, layers):
-        lifted = [g for gate in gates for g in lift_single_qubit_gate(gate.u, gate.site, emap)]
-        compiled.append((gates, lifted))
-    return compiled
+    return [_fuse(gates) for gates in layers]
+
+
+def _compile(gates: list[LevelPairGate], emap: EmbeddingMap) -> Layer:
+    """A layer's action, once per search. On the 2^n vector the layer is a
+    tensor product of one 2x2 unitary per qubit, so it splits into two dense
+    factors, A on qubits 0..h-1 and B on qubits h..n-1 (h = n // 2): it sends
+    the vector, viewed as a 2^h x 2^(n-h) matrix V, to A V B^T. On the
+    register each gate lifts as a whole: a lift maps a product to the
+    product of the lifts."""
+    n = emap.qubit_count
+    h = n // 2
+    lifted = [g for gate in gates for g in lift_single_qubit_gate(gate.u, gate.site, emap)]
+    return _factor(gates, 0, h), _factor(gates, h, n - h).T, lifted
 
 
 class _RowMap:
@@ -233,6 +252,11 @@ class _SearchState:
     keep computational levels computational and bystanders untouched, so
     they never move a row between the two; only the ladder mixes them.
 
+    A layer of one-qubit steps is two small matrix products on the vector,
+    A V B^T with V its 2^h x 2^(n-h) view and A, B the layer's factors on the
+    high and low qubits, built once per search by :func:`_compile`. The
+    rest table takes the lifted gates one by one, so its rows stay exact.
+
     The ladder's action on the view is computed once: each view index is
     pushed through it as its own amplitude-1 basis input (the verifier's
     batched table, pruned as there), so by linearity one application is a
@@ -244,7 +268,7 @@ class _SearchState:
 
     def __init__(self, emap: EmbeddingMap, ladder: list[QuditGate] | None):
         n = emap.qubit_count
-        self.emap, self.ladder, self.shape = emap, ladder, (2,) * n
+        self.emap, self.ladder = emap, ladder
         self.view = emap.encode(_counting_bits(n))
         self.vector = np.zeros(2**n, dtype=np.complex128)
         self.vector[0] = 1.0  # |0...0>
@@ -274,10 +298,10 @@ class _SearchState:
         return outcome, computational & (self.view[outcome] == index)
 
     def layer(self, layer: Layer) -> None:
-        """One layer of one-qubit steps on the vector and the rest table."""
-        gates, lifted = layer
-        for gate in gates:
-            _apply_gate_inplace(self.vector, self.shape, gate)
+        """One layer of one-qubit steps: A V B^T on the vector viewed as a
+        2^h x 2^(n-h) matrix V, the lifted gates on the rest table."""
+        a, bt, lifted = layer
+        self.vector = (a @ self.vector.reshape(len(a), len(bt)) @ bt).ravel()
         if len(self.rest[0]):
             self.rest = _propagate_sparse(self.emap.register, lifted, *self.rest)
 
@@ -324,9 +348,8 @@ def _search(
     iteration = build_oracle(omega, n) + build_diffusion(n)
     # the layers around the two Zs of an iteration, with the one-qubit steps
     # of consecutive iterations joined: first, mid, wrap, mid, last
-    first, mid, wrap, _, last = _compile(
-        [("u", q, HADAMARD) for q in range(n)] + iteration * 2, emap
-    )
+    layers = _layers([("u", q, HADAMARD) for q in range(n)] + iteration * 2)
+    first, mid, wrap, last = (_compile(layers[i], emap) for i in (0, 1, 2, 4))
     state = _SearchState(emap, ladder)
     state.layer(first)
     first_leak = None

@@ -284,14 +284,29 @@ def _assert_same_readout(full, engine):
     assert engine.leakage == pytest.approx(full.leakage, abs=STATE_TOL)
 
 
+# Every backend at n=2..7, then larger registers, whose layer factors are
+# uneven at odd n (h = n // 2 < n - h); the odd variant matters only at odd n.
+_ENGINE_CASES = [
+    pytest.param(n, method, "single", id=f"{n}-{method}")
+    for n in range(2, 8)
+    for method in BACKENDS
+] + [
+    pytest.param(n, method, variant, id=f"{n}-{method}-{variant}")
+    for n, method, variant in [
+        (8, "ququint", "single"), (9, "ququint", "single"), (9, "ququint", "neighbor"),
+        (10, "ququint", "single"), (8, "qutrit", "single"),
+        (11, "reference", "single"), (12, "reference", "single"),
+    ]
+]
+
+
 class TestEngines:
-    @pytest.mark.parametrize("method", BACKENDS)
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
-    def test_sparse_table_matches_dense_register(self, n, method):
+    @pytest.mark.parametrize("n,method,variant", _ENGINE_CASES)
+    def test_sparse_table_matches_dense_register(self, n, method, variant):
         rng = np.random.default_rng(100 + n)
         omega = "".join(str(b) for b in rng.integers(0, 2, size=n))
         k = int(rng.integers(1, grover._max_iterations(n) + 1))
-        dense, sparse = _both_engines(n, method, k=k, omega=omega)
+        dense, sparse = _both_engines(n, method, k=k, omega=omega, variant=variant)
         assert dense.probabilities.keys() == sparse.probabilities.keys()
         for key, p in dense.probabilities.items():
             assert abs(sparse.probabilities[key] - p) <= STATE_TOL, key
@@ -385,3 +400,30 @@ def test_appended_level_pair_gate_matches_full_register(method, n, data):
         n, method, lambda gates: list(gates) + [gate], k=k, omega=omega, variant=variant
     )
     _assert_same_readout(full, engine)
+
+
+@given(st.integers(2, 12), st.data())
+def test_layer_factors_match_the_sequential_kernel(n, data):
+    """A layer's A V B^T equals its fused gates run one by one through the
+    stride kernel, for one-qubit unitaries on no qubit, one, all or any
+    multiset of them, at odd n with uneven factors too."""
+    qubits = data.draw(st.one_of(
+        st.just([]),
+        st.integers(0, n - 1).map(lambda q: [q]),
+        st.just(list(range(n))),
+        st.lists(st.integers(0, n - 1), max_size=2 * n),
+    ))
+    steps = [("u", q, data.draw(two_level_unitaries())) for q in qubits]
+    emap = grover._prepare_backend(n, "reference", "single")[1]
+    (gates,) = grover._layers(steps)
+    layer = grover._compile(gates, emap)
+    rng = np.random.default_rng(n)
+    vector = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    vector /= np.linalg.norm(vector)
+    expect = vector.copy()
+    for gate in gates:
+        _apply_gate_inplace(expect, (2,) * n, gate)
+    state = grover._SearchState(emap, None)
+    state.vector = vector
+    state.layer(layer)
+    assert np.abs(state.vector - expect).max() <= STATE_TOL
