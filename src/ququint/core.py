@@ -411,16 +411,24 @@ _PRUNE = 1e-16  # drop exactly-cancelled branches; far below any tolerance
 def _propagate_sparse(
     register: QuditRegister, gates: list[QuditGate], keys: np.ndarray, amps: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Run ``gates`` on a table of (key, amplitude) rows sorted by key.
+    """Run ``gates`` on a table of (key, amplitude) rows with unique keys in
+    any order; returns the new keys, sorted, and their amplitudes.
 
-    Phases multiply the matching rows in place. A mixing level-pair gate
-    emits, for each row on its level pair, the row and its partner, and
-    merges the pairs of equal keys (``_merge_pairs``). Returns the new sorted
-    keys and amplitudes.
+    Phases multiply the matching rows in place. A controlled level swap
+    (:func:`_swap_control`) moves the keys of the rows it exchanges and
+    leaves their amplitudes alone. Any other mixing level-pair gate emits,
+    for each row on its level pair, the row and its partner, and merges the
+    pairs of equal keys (``_merge_pairs``, which sorts). One final sort runs
+    only when no merge came after the last swap, or after the input.
     """
     dims, strides = register.dims, register.strides
+    keys = np.array(keys, dtype=np.int64)
     amps = np.array(amps, dtype=np.complex128)
-    for gate in gates:
+    ordered = False
+    g = 0
+    while g < len(gates):
+        gate = gates[g]
+        g += 1
         if isinstance(gate, TwoQuditCZ):
             hit = ((keys // strides[gate.site_a]) % dims[gate.site_a] == gate.i) & (
                 (keys // strides[gate.site_b]) % dims[gate.site_b] == gate.j
@@ -430,13 +438,23 @@ def _propagate_sparse(
         stride, u = strides[gate.site], gate.u
         digit = (keys // stride) % dims[gate.site]
         on_i, on_j = digit == gate.i, digit == gate.j
+        shift = (gate.j - gate.i) * stride
+        control = _swap_control(gate, gates[g : g + 2])
+        if control is not None:
+            site, level = control
+            held = (keys // strides[site]) % dims[site] == level
+            down = held & on_j  # computed before any key moves
+            keys[held & on_i] += shift
+            keys[down] -= shift
+            ordered = False
+            g += 2
+            continue
         if u.beta == 0 and u.gamma == 0:
             if u.alpha != 1:
                 amps[on_i] *= u.alpha
             if u.delta != 1:
                 amps[on_j] *= u.delta
             continue
-        shift = (gate.j - gate.i) * stride
         rest = ~(on_i | on_j)
         key_i, key_j = keys[on_i], keys[on_j]
         amp_i, amp_j = amps[on_i], amps[on_j]
@@ -447,7 +465,32 @@ def _propagate_sparse(
                 (amps[rest], amp_i * u.alpha, amp_i * u.gamma, amp_j * u.beta, amp_j * u.delta)
             ),
         )
+        ordered = True
+    if not ordered:
+        order = np.argsort(keys, kind="stable")
+        keys, amps = keys[order], amps[order]
     return keys, amps
+
+
+def _swap_control(h: LevelPairGate, after: list[QuditGate]) -> tuple[int, int] | None:
+    """The control ``(site, level)`` if ``h`` and the two gates ``after`` it
+    are H on a target's level pair (k, l), a -1 phase on the target at l and
+    the control at its level (either site order), and the same H again.
+
+    H diag(1, -1) H = X, and H H = 1, so the three together exchange the
+    target's levels k and l exactly where the control is at its level and
+    do nothing elsewhere: a move of keys by +-(l - k) * stride.
+    """
+    if len(after) < 2 or not isinstance(after[0], TwoQuditCZ):
+        return None  # the cheap test first: most gates fail it
+    cz = after[0]
+    if cz.phase != -1 or after[1] != h or h.u != HADAMARD:
+        return None
+    if (cz.site_b, cz.j) == (h.site, h.j):
+        return cz.site_a, cz.i
+    if (cz.site_a, cz.i) == (h.site, h.j):
+        return cz.site_b, cz.j
+    return None
 
 
 def _key_runs(sorted_keys: np.ndarray) -> np.ndarray:

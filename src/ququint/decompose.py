@@ -26,7 +26,9 @@ register plus the embedding that interprets it:
 
 Every controlled level swap is inlined as (H on the level pair, controlled
 phase, H again), so the two-particle tally is exactly the number of
-:class:`~ququint.core.TwoQuditCZ` gates in the circuit.
+:class:`~ququint.core.TwoQuditCZ` gates in the circuit. The sparse table
+that verifies ladders and runs Grover searches recognises each such triple
+and applies it as the exact level exchange it is.
 """
 
 from __future__ import annotations
@@ -297,17 +299,22 @@ def decompose_cnz(request: DecompositionRequest) -> DecompositionResult:
 # a handful of basis states at any moment, so the sweep never builds a dense
 # vector: it pushes a block of inputs through the circuit together as one
 # sparse table with a row per live amplitude, keyed by (input, flat index)
-# (``core._propagate_sparse``). A mixing gate emits each row on its level
-# pair and its partner row, sorts once, and adds the (at most two) rows of
-# each key. Blocks of ``_BLOCK`` inputs bound the table, and with it peak
-# memory, whatever n is: at 1-5 rows per input a block is about 100 KiB.
-# Same-site runs of level-pair gates are fused once per circuit (``_fuse``;
-# the qubit ladder at n=10 drops from 433 to 234 gates) before any block
-# runs. Start and expected indices are encoded for every input at once
-# (``EmbeddingMap.encode``), and per-input errors and leakage are reduced
-# over the table's rows. Tests cross-check the sparse propagator against the
-# dense applier. Grover searches take their ladder's action on the embedded
-# basis from the same rows.
+# (``core._propagate_sparse``). A controlled level swap (H, CZ(-1), H) moves
+# the keys of the rows it exchanges and adds none. Any other mixing gate
+# emits each row on its level pair and its partner row, sorts once, and adds
+# the (at most two) rows of each key. Blocks of ``_BLOCK`` inputs bound the
+# table, and with it peak memory, whatever n is: at 1-5 rows per input a
+# block is about 100 KiB. Same-site runs of level-pair gates are fused once
+# per circuit (``_fuse``; the qubit ladder at n=10 drops from 433 to 234
+# gates) before any block runs. The swaps are recognised after fusion: the
+# qutrit and ququint ladders keep every one, so they run with no merge and
+# their phase ladders verify with zero error, while fusion folds both H's of
+# every CNOT in the qubit ladder into neighbouring gates, so no swap is left
+# there (n >= 3). Start and expected indices are encoded for every
+# input at once (``EmbeddingMap.encode``), and per-input errors and leakage
+# are reduced over the table's rows. Tests cross-check the sparse propagator
+# against the dense applier. Grover searches take their ladder's action on
+# the embedded basis from the same rows.
 # ---------------------------------------------------------------------------
 
 _BLOCK = 1024  # inputs propagated together
@@ -432,6 +439,11 @@ def verify_decomposition(
     Returns:
         Worst amplitude error, worst leakage probability, and the worst input
         (bystander innermost in sweep order), as :class:`VerificationReport`.
+
+    Raises:
+        ValueError: The target is out of range, or ``bits_subset`` holds a
+            malformed bitstring or none at all (a sweep over no input would
+            pass vacuously).
     """
     emap = result.embedding
     n = emap.qubit_count
@@ -441,6 +453,8 @@ def verify_decomposition(
         bits = _counting_bits(n)
     else:
         rows = [_parse_bits(bitstring, n) for bitstring in bits_subset]
+        if not rows:
+            raise ValueError("bits_subset names no input to check")
         bits = np.array(rows, dtype=np.int64).reshape(len(rows), n)
     expected = bits.copy()
     if target_qubit is None:

@@ -30,7 +30,8 @@ from ququint import (
     save_document,
     verify_decomposition,
 )
-from ququint.decompose import T_GATE, _propagate_basis, to_cnx
+from ququint import core
+from ququint.decompose import T_GATE, _fuse, _propagate_basis, to_cnx
 
 
 def controlled_swap_matrix(register, ctl, tgt, i, k, level_l):
@@ -508,7 +509,7 @@ class TestVerificationFailures:
         with pytest.raises(ValueError, match="target qubit"):
             verify_decomposition(decompose_cnz_qutrit(2), target_qubit=target)
 
-    @pytest.mark.parametrize("subset", [["1"], ["102"], ["11", "1"]])
+    @pytest.mark.parametrize("subset", [["1"], ["102"], ["11", "1"], []])
     def test_bits_subset_rejects_malformed(self, subset):
         with pytest.raises(ValueError):
             verify_decomposition(decompose_cnz_qutrit(2), bits_subset=subset)
@@ -528,6 +529,60 @@ class TestVerificationFusion:
         assert report.passed()
         assert report.max_amplitude_error == pytest.approx(1.47e-12, rel=1e-3)
         assert report.inputs_checked == 8
+
+
+def with_cz_sites_swapped(result):
+    """The same circuit with every controlled phase naming its sites in the
+    other order."""
+    return with_gates(result, [
+        TwoQuditCZ(g.site_b, g.site_a, g.j, g.i, g.phase) if isinstance(g, TwoQuditCZ) else g
+        for g in result.circuit.gates
+    ])
+
+
+class TestLevelSwaps:
+    """The sparse table runs each H / CZ(-1) / H controlled level swap as a
+    move of keys: exact, with no merge, and only where the pattern stands."""
+
+    @pytest.fixture
+    def merges(self, monkeypatch):
+        calls = []
+        merge = core._merge_pairs
+
+        def counted(keys, amps):
+            calls.append(len(keys))
+            return merge(keys, amps)
+
+        monkeypatch.setattr(core, "_merge_pairs", counted)
+        return calls
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    @pytest.mark.parametrize(
+        "method,variant", [("qutrit", "single"), ("ququint", "single"), ("ququint", "neighbor")]
+    )
+    def test_qudit_phase_ladders_verify_exactly(self, n, method, variant):
+        report = verify_decomposition(decompose_cnz(DecompositionRequest(n, method, variant)))
+        assert report.max_amplitude_error == 0.0
+        assert report.max_leakage == 0.0
+
+    @pytest.mark.parametrize(
+        "order", [lambda r: r, with_cz_sites_swapped], ids=["as-built", "sites-swapped"]
+    )
+    def test_ququint_ladder_needs_no_merge(self, merges, order):
+        report = verify_decomposition(order(decompose_cnz_ququint(10)))
+        assert report.passed() and report.max_amplitude_error == 0.0
+        assert merges == []
+
+    def test_fused_qubit_ladder_merges_once_per_mixing_gate(self, merges):
+        # fusion merges every CNOT's H into its neighbours, so no triple is
+        # left and every mixing gate takes the merge path (16 inputs, one block)
+        result = decompose_cnz_qubit(4)
+        mixing = [
+            g for g in _fuse(result.circuit.gates)
+            if isinstance(g, LevelPairGate) and (g.u.beta != 0 or g.u.gamma != 0)
+        ]
+        assert verify_decomposition(result).passed()
+        assert len(merges) == len(mixing) > 0
 
 
 def cross_check_cases():

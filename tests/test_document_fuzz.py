@@ -3,19 +3,31 @@
 Every run of ``verify --circuit --exhaustive`` and ``simulate --input
 --probs`` on such a file must end with exit 0, 1 or 2, and a 2 must carry
 an ``error:`` line on stderr. An exception escaping ``main`` (a traceback)
-fails the test. Examples are derandomized by the profile in conftest.py.
+fails the test. Gate edits that keep a document valid load, so they reach
+both commands; there the verdict must match a dense check of the circuit's
+unitary. Examples are derandomized by the profile in conftest.py.
 """
 
 import contextlib
 import io
+import itertools
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ququint import CircuitDocument, DecompositionRequest, decompose_cnz, save_document
+from ququint import (
+    CircuitDocument,
+    DecompositionRequest,
+    circuit_unitary,
+    decompose_cnz,
+    load_document,
+    save_document,
+)
 from ququint.cli import main
+from ququint.core import STATE_TOL
 
 
 def valid_document(n, method, odd_variant="single", target=None):
@@ -78,6 +90,68 @@ def mutated_documents(draw):
     return doc, n
 
 
+def level_swaps(gates):
+    """``(position, cz level key)`` of each H on a pair (k, l), controlled
+    phase naming that site at l, and the same H again: a controlled level
+    swap as the compilers write it."""
+    found = []
+    for g in range(len(gates) - 2):
+        h, cz, again = gates[g : g + 3]
+        if "levelpair" in h and "cz" in cz and again == h:
+            h, cz = h["levelpair"], cz["cz"]
+            for site, level in (("siteA", "i"), ("siteB", "j")):
+                if (cz[site], cz[level]) == (h["site"], h["j"]):
+                    found.append((g, level))
+    return found
+
+
+@st.composite
+def edited_documents(draw):
+    """A valid document with one gate edited so that it still loads: a
+    swap's phase moved from the target's level l to k, any controlled
+    phase set to 1 or i, or one H of a swap moved to another level pair."""
+    base, n = draw(st.sampled_from(BASES))
+    doc = json.loads(json.dumps(base))
+    dims, gates = doc["dims"], doc["gates"]
+    swaps = level_swaps(gates)
+    movable = [(g, level) for g, level in swaps if dims[gates[g]["levelpair"]["site"]] > 2]
+    kinds = ["phase"] + (["level"] if swaps else []) + (["pair"] if movable else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "phase":
+        cz = draw(st.sampled_from([gate["cz"] for gate in gates if "cz" in gate]))
+        cz["phase"] = draw(st.sampled_from([[1, 0], [0, 1]]))
+    elif kind == "level":
+        g, level = draw(st.sampled_from(swaps))
+        gates[g + 1]["cz"][level] = gates[g]["levelpair"]["i"]
+    else:
+        g, _ = draw(st.sampled_from(movable))
+        h = gates[draw(st.sampled_from([g, g + 2]))]["levelpair"]
+        pairs = itertools.combinations(range(dims[h["site"]]), 2)
+        h["i"], h["j"] = draw(st.sampled_from([p for p in pairs if p != (h["i"], h["j"])]))
+    return doc, n
+
+
+def dense_verdict(document):
+    """PASS/FAIL of a document from its full unitary: every embedded basis
+    input must land on its expected index with its expected sign."""
+    emap, target = document.embedding, document.target_qubit
+    n, size = emap.qubit_count, document.circuit.register.size
+    unitary = circuit_unitary(document.circuit)
+    error = 0.0
+    for bits in itertools.product((0, 1), repeat=n):
+        bits = np.array(bits)
+        want, sign = bits.copy(), 1.0
+        if target is None:
+            sign = -1.0 if bits.all() else 1.0
+        elif np.delete(bits, target).all():
+            want[target] ^= 1
+        for bystander in (0, 1) if emap.bystander_sites else (0,):
+            column = np.zeros(size, dtype=complex)
+            column[emap.encode(want, bystander)] = sign
+            error = max(error, np.abs(unitary[:, emap.encode(bits, bystander)] - column).max())
+    return error < STATE_TOL
+
+
 def run_cli(*argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -111,3 +185,13 @@ def test_random_json_is_refused_cleanly(path, value, bits):
 def test_mutated_documents_are_refused_or_run(path, case):
     doc, n = case
     check_commands(path, json.dumps(doc), "1" * n)
+
+
+@given(case=edited_documents())
+def test_edited_gates_get_the_dense_verdict(path, case):
+    doc, n = case
+    text = json.dumps(doc)
+    passed = dense_verdict(load_document(text))
+    path.write_text(text, encoding="utf-8")
+    assert run_cli("verify", "--circuit", str(path), "--exhaustive")[0] == (0 if passed else 1)
+    assert run_cli("simulate", str(path), "--input", "1" * n, "--probs")[0] == 0

@@ -45,23 +45,56 @@ def unitaries(draw):
     return TwoLevelUnitary(c * a, s * b, -s * b.conjugate(), c * a.conjugate())
 
 
+def level_pairs(dim):
+    return st.lists(st.integers(0, dim - 1), min_size=2, max_size=2, unique=True).map(sorted)
+
+
+@st.composite
+def swap_triples(draw, dims):
+    """H on a target's pair (k, l), a -1 phase on (control at i, target at
+    l) in either site order, and the same H: a controlled level swap. Or a
+    near miss that must stay on the mixing path: the phase on k, a phase
+    other than -1, or the second H on another pair or site. A mixing gate on
+    the pair may come first, so one input is live on both k and l."""
+    sites = st.integers(0, len(dims) - 1)
+    target, control = draw(st.lists(sites, min_size=2, max_size=2, unique=True))
+    k, level_l = draw(level_pairs(dims[target]))
+    i = draw(st.integers(0, dims[control] - 1))
+    miss = draw(st.sampled_from([None, "phase-on-k", "other-phase", "other-pair"]))
+    h = LevelPairGate(target, k, level_l, HADAMARD)
+    phased, phase = (k if miss == "phase-on-k" else level_l), -1
+    if miss == "other-phase":
+        phase = draw(st.sampled_from([1, 1j, -1j]) | angles.map(lambda a: cmath.exp(1j * a)))
+    second = h
+    if miss == "other-pair":
+        others = [(s, a, b) for s, d in enumerate(dims) for a in range(d) for b in range(a + 1, d)
+                  if (s, a, b) != (target, k, level_l)]
+        second = LevelPairGate(*draw(st.sampled_from(others)), HADAMARD)
+    cz = draw(st.sampled_from([
+        TwoQuditCZ(control, target, i, phased, phase),
+        TwoQuditCZ(target, control, phased, i, phase),
+    ]))
+    spread = [LevelPairGate(target, k, level_l, draw(unitaries()))] if draw(st.booleans()) else []
+    return spread + [h, cz, second]
+
+
 @st.composite
 def circuits(draw):
     dims = draw(st.lists(st.integers(2, 5), min_size=2, max_size=4))
     sites = st.integers(0, len(dims) - 1)
     gates = []
     for _ in range(draw(st.integers(0, 12))):
-        kind = draw(st.sampled_from(["pair", "run", "cz"]))
+        kind = draw(st.sampled_from(["pair", "run", "cz", "swap"]))
         pairs = [g for g in gates if isinstance(g, LevelPairGate)]
-        if kind == "run" and pairs:
+        if kind == "swap":
+            gates += draw(swap_triples(dims))
+        elif kind == "run" and pairs:
             # the levels of the last level-pair gate again: a same-site run
             last = pairs[-1]
             gates.append(LevelPairGate(last.site, last.i, last.j, draw(unitaries())))
         elif kind != "cz":
             site = draw(sites)
-            i, j = sorted(draw(st.lists(
-                st.integers(0, dims[site] - 1), min_size=2, max_size=2, unique=True
-            )))
+            i, j = draw(level_pairs(dims[site]))
             gates.append(LevelPairGate(site, i, j, draw(unitaries())))
         else:
             a, b = draw(st.lists(sites, min_size=2, max_size=2, unique=True))
