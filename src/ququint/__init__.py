@@ -1,9 +1,10 @@
 """Qudit circuits with ququint-embedded qubits.
 
-A dense state-vector simulator over mixed-radix registers, a compiler that
-lowers multi-controlled gates to two-particle gate ladders (five-level,
-three-level, and plain-qubit backends), and a Grover pipeline with
-gate-count reporting.
+A dense state-vector simulator over mixed-radix registers (the reference the
+tests check against; the CLI runs circuits on a sparse table of live rows), a
+compiler that lowers multi-controlled gates to two-particle gate ladders
+(five-level, three-level, and plain-qubit backends), and a Grover pipeline
+with gate-count reporting.
 """
 
 from .core import (

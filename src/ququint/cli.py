@@ -13,16 +13,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import StateVector, _sample_counts, apply_circuit, measure_all
+from .core import StateVector, _propagate_sparse, _sample_counts
 from .counts import count_table, emit_report
 from .decompose import (
     METHODS,
     DecompositionRequest,
     DecompositionResult,
+    _fuse,
     decompose_cnz,
     verify_decomposition,
 )
-from .embedding import ODD_VARIANTS, embed_basis_state, read_out
+from .embedding import ODD_VARIANTS, _read_out_rows, embed_basis_state
 from .grover import BACKENDS, GroverSpec, run_grover
 from .serialize import CircuitDocument, _as_pair, _parse_json, load_document, save_document
 
@@ -107,7 +108,9 @@ def cmd_verify(args) -> int:
     return 1
 
 
-def _initial_state(args, document: CircuitDocument) -> StateVector:
+def _start_rows(args, document: CircuitDocument) -> tuple[np.ndarray, np.ndarray]:
+    """The table the run starts from, as ``(flat index, amplitude)`` rows:
+    one row for ``--input``, the nonzero amplitudes of a ``--state`` file."""
     register = document.circuit.register
     if args.input is not None:
         if document.embedding is not None:
@@ -121,46 +124,53 @@ def _initial_state(args, document: CircuitDocument) -> StateVector:
                     f"or comma-separated levels, got {args.input!r}"
                 )
             label = tuple(int(t) for t in tokens)
-        return StateVector.basis_state(register, label)
+        return np.array([register.index(label)]), np.ones(1)
     payload = _parse_json(Path(args.state).read_text(encoding="utf-8"), "state file")
     if not isinstance(payload, dict) or not isinstance(payload.get("amplitudes"), list):
         raise ValueError('state file must be a JSON object with an "amplitudes" list')
     amps = [_as_pair(z, "state file amplitude") for z in payload["amplitudes"]]
-    return StateVector(register, amps)
+    state = StateVector(register, amps)  # checks the length and the norm
+    live = np.flatnonzero(state.amplitudes)
+    return live, state.amplitudes[live]
+
+
+def _outcome_table(
+    document: CircuitDocument, keys: np.ndarray, amps: np.ndarray
+) -> tuple[list[str], list[float]]:
+    """Outcomes of the live rows and their probabilities: with an
+    embedding, every qubit bitstring, sorted, then ``leakage``; without
+    one, the level label of each row, in index order."""
+    probs = np.abs(amps) ** 2
+    if document.embedding is None:
+        register = document.circuit.register
+        return [register.label_str(int(k)) for k in keys], probs.tolist()
+    table = _read_out_rows(keys, probs, document.embedding)
+    outcomes = sorted(table.probabilities)
+    weights = [table.probabilities[o] for o in outcomes] + [table.leakage]
+    return outcomes + ["leakage"], weights
 
 
 def cmd_simulate(args) -> int:
     document = _load_document_file(args.circuit)
-    state = _initial_state(args, document)
-    final = apply_circuit(state, document.circuit)
+    circuit = document.circuit
+    keys, amps = _propagate_sparse(
+        circuit.register, _fuse(circuit.gates), *_start_rows(args, document)
+    )
+    outcomes, probs = _outcome_table(document, keys, amps)
     if args.shots is not None:
-        if document.embedding is None:
-            histogram = measure_all(final, args.seed, args.shots)
-        else:
-            # each read-out entry (leakage included) holds the total weight
-            # of the register outcomes that decode to it, so one draw over
-            # the table has the distribution of decoded register samples
-            table = read_out(final.probabilities(), document.embedding)
-            outcomes = sorted(table.probabilities) + ["leakage"]
-            weights = [table.probabilities[o] for o in outcomes[:-1]] + [table.leakage]
-            counts = _sample_counts(weights, args.seed, args.shots)
-            histogram = {o: int(c) for o, c in zip(outcomes, counts) if c}
+        # each entry (leakage included) holds the total weight of the register
+        # outcomes it stands for, so one draw over the table has the
+        # distribution of register samples read out
+        counts = _sample_counts(probs, args.seed, args.shots)
         print("outcome,count")
-        for outcome, count in histogram.items():
-            print(f"{outcome},{count}")
+        for outcome, count in zip(outcomes, counts):
+            if count:
+                print(f"{outcome},{count}")
         return 0
-    if document.embedding is not None:
-        table = read_out(final.probabilities(), document.embedding)
-        print("outcome,probability")
-        for outcome in sorted(table.probabilities):
-            print(f"{outcome},{table.probabilities[outcome]:.12g}")
-        print(f"leakage,{table.leakage:.12g}")
-    else:
-        probs = final.probabilities()
-        print("outcome,probability")
-        for index in np.nonzero(probs > 1e-12)[0]:
-            label = final.register.label_str(int(index))
-            print(f"{label},{probs[index]:.12g}")
+    print("outcome,probability")
+    for outcome, prob in zip(outcomes, probs):
+        if document.embedding is not None or prob > 1e-12:
+            print(f"{outcome},{prob:.12g}")
     return 0
 
 

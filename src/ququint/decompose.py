@@ -27,8 +27,8 @@ register plus the embedding that interprets it:
 Every controlled level swap is inlined as (H on the level pair, controlled
 phase, H again), so the two-particle tally is exactly the number of
 :class:`~ququint.core.TwoQuditCZ` gates in the circuit. The sparse table
-that verifies ladders and runs Grover searches recognises each such triple
-and applies it as the exact level exchange it is.
+that verifies ladders, simulates documents and runs Grover searches
+recognises each such triple and applies it as the exact level exchange it is.
 """
 
 from __future__ import annotations
@@ -297,24 +297,23 @@ def decompose_cnz(request: DecompositionRequest) -> DecompositionResult:
 # ---------------------------------------------------------------------------
 # Exhaustive verification. Ladder circuits keep each basis input supported on
 # a handful of basis states at any moment, so the sweep never builds a dense
-# vector: it pushes a block of inputs through the circuit together as one
-# sparse table with a row per live amplitude, keyed by (input, flat index)
-# (``core._propagate_sparse``). A controlled level swap (H, CZ(-1), H) moves
-# the keys of the rows it exchanges and adds none. Any other mixing gate
-# emits each row on its level pair and its partner row, sorts once, and adds
-# the (at most two) rows of each key. Blocks of ``_BLOCK`` inputs bound the
-# table, and with it peak memory, whatever n is: at 1-5 rows per input a
-# block is about 100 KiB. Same-site runs of level-pair gates are fused once
-# per circuit (``_fuse``; the qubit ladder at n=10 drops from 433 to 234
-# gates) before any block runs. The swaps are recognised after fusion: the
-# qutrit and ququint ladders keep every one, so they run with no merge and
-# their phase ladders verify with zero error, while fusion folds both H's of
-# every CNOT in the qubit ladder into neighbouring gates, so no swap is left
-# there (n >= 3). Start and expected indices are encoded for every
-# input at once (``EmbeddingMap.encode``), and per-input errors and leakage
-# are reduced over the table's rows. Tests cross-check the sparse propagator
-# against the dense applier. Grover searches take their ladder's action on
-# the embedded basis from the same rows.
+# vector. ``_basis_rows`` owns the one block loop: it pushes the inputs
+# through the circuit ``_BLOCK`` at a time, each block one sparse table with
+# a row per live amplitude keyed by (input, flat index)
+# (``core._propagate_sparse``, which runs each controlled level swap as a
+# move of keys), and returns every input's rows as one table. The block
+# bounds the table each gate works on, whatever n is: at 1-5 rows per
+# input a block is about 100 KiB. Same-site runs of level-pair
+# gates are fused once per circuit (``_fuse``; the qubit ladder at n=10
+# drops from 433 to 234 gates). The swaps are recognised after fusion: the
+# qutrit and ququint ladders keep every one, so their phase ladders verify
+# with zero error, while fusion folds both H's of every CNOT in the qubit
+# ladder into neighbouring gates (n >= 3). Start and expected indices are
+# encoded for every input at once (``EmbeddingMap.encode``), and per-input
+# errors and leakage are reduced over the table in one pass. Grover searches
+# take their ladder's action on the embedded basis from the same rows, and
+# ``simulate`` runs a document through the same propagator; tests
+# cross-check it against the dense applier.
 # ---------------------------------------------------------------------------
 
 _BLOCK = 1024  # inputs propagated together
@@ -390,22 +389,24 @@ def _basis_rows(
     register: QuditRegister, gates: list[QuditGate], starts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Live rows ``(input, index, amplitude)`` of the basis inputs at flat
-    indices ``starts``, pushed through ``gates`` together as one table;
+    indices ``starts``, pushed through ``gates`` ``_BLOCK`` inputs at a time;
     ``input`` is the position in ``starts``, and rows come sorted by input,
-    then by flat index."""
-    count, size = len(starts), register.size
-    keys, amps = _propagate_sparse(
-        register, gates, np.arange(count) * size + starts, np.ones(count)
-    )
-    owner, index = np.divmod(keys, size)
-    return owner, index, amps
+    then by flat index. Keys are numbered within a block, so they stay below
+    ``_BLOCK * register.size`` whatever the number of inputs."""
+    size, tables = register.size, []
+    for lo in range(0, len(starts), _BLOCK):
+        block = starts[lo : lo + _BLOCK]
+        keys, amps = _propagate_sparse(
+            register, gates, np.arange(len(block)) * size + block, np.ones(len(block))
+        )
+        tables.append((keys // size + lo, keys % size, amps))
+    return tuple(np.concatenate(column) for column in zip(*tables))
 
 
-def _block_scores(result, gates, starts, expects, signs):
-    """Amplitude error and leakage of each input of one block, propagated
-    together through ``gates`` (``result``'s circuit, fused) from flat
-    indices ``starts``; each input should end at ``expects`` with amplitude
-    ``signs``."""
+def _scores(result, gates, starts, expects, signs):
+    """Amplitude error and leakage of each input, propagated through
+    ``gates`` (``result``'s circuit, fused) from flat indices ``starts``;
+    each input should end at ``expects`` with amplitude ``signs``."""
     count = len(starts)
     owner, index, amps = _basis_rows(result.circuit.register, gates, starts)
     hit = index == expects[owner]
@@ -471,13 +472,7 @@ def verify_decomposition(
     starts, expects = encode(bits), encode(expected)
     signs = np.repeat(signs, len(bystanders))
 
-    gates = _fuse(result.circuit.gates)
-    errors, leaks = np.zeros(len(starts)), np.zeros(len(starts))
-    for lo in range(0, len(starts), _BLOCK):
-        block = slice(lo, lo + _BLOCK)
-        errors[block], leaks[block] = _block_scores(
-            result, gates, starts[block], expects[block], signs[block]
-        )
+    errors, leaks = _scores(result, _fuse(result.circuit.gates), starts, expects, signs)
 
     report = VerificationReport(
         float(errors.max(initial=0.0)), float(leaks.max(initial=0.0)), len(starts), None

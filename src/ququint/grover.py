@@ -38,7 +38,6 @@ from .core import (
     _propagate_sparse,
 )
 from .decompose import (
-    _BLOCK,
     METHODS,
     DecompositionRequest,
     _basis_rows,
@@ -279,14 +278,7 @@ class _SearchState:
             amps = np.ones(2**n, dtype=np.complex128)
             amps[-1] = -1.0
         else:
-            starts = range(0, 2**n, _BLOCK)
-            blocks = [
-                _basis_rows(emap.register, ladder, self.view[lo : lo + _BLOCK])
-                for lo in starts
-            ]
-            src = np.concatenate([owner + lo for (owner, _, _), lo in zip(blocks, starts)])
-            index = np.concatenate([b[1] for b in blocks])
-            amps = np.concatenate([b[2] for b in blocks])
+            src, index, amps = _basis_rows(emap.register, ladder, self.view)
         dst, inside = self._locate(index)
         self.gather = _RowMap(src[inside], dst[inside], amps[inside])
         self.leak = _RowMap(src[~inside], index[~inside], amps[~inside])  # off the view

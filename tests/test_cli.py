@@ -1,9 +1,22 @@
 import json
 import time
 
+import numpy as np
 import pytest
 
-from ququint import DecompositionRequest, decompose_cnz, load_document
+from ququint import (
+    HADAMARD,
+    CircuitDocument,
+    DecompositionRequest,
+    LevelPairGate,
+    QuditCircuit,
+    QuditRegister,
+    StateVector,
+    TwoQuditCZ,
+    decompose_cnz,
+    load_document,
+    save_document,
+)
 from ququint.cli import main
 
 
@@ -270,6 +283,69 @@ class TestSimulate:
         bad.write_text('{"version": 1}')
         code, _, stderr = run_cli(capsys, "simulate", str(bad), "--input", "1", "--probs")
         assert code == 2
+
+    @staticmethod
+    def _embedded_case(method):
+        """A four-qubit inversion of qubit 3, and a random state over its
+        embedded basis; returns the document, the state and what
+        ``--probs`` prints from input 1111 and from the state."""
+        result = decompose_cnz(DecompositionRequest(4, method, target_qubit=3))
+        emap, register = result.embedding, result.circuit.register
+        index = emap.encode([[x >> (3 - q) & 1 for q in range(4)] for x in range(16)])
+        rng = np.random.default_rng(11)
+        amps = np.zeros(register.size, dtype=complex)
+        amps[index] = rng.normal(size=16) + 1j * rng.normal(size=16)
+        amps /= np.linalg.norm(amps)
+        flipped = [x ^ 1 if x >= 14 else x for x in range(16)]  # controls 111 flip qubit 3
+        point = {format(x, "04b"): float(x == 14) for x in range(16)}
+        moved = {format(x, "04b"): abs(amps[index[flipped[x]]]) ** 2 for x in range(16)}
+        document = CircuitDocument(result.circuit, emap, 3)
+        return document, amps, "1111", {**point, "leakage": 0.0}, {**moved, "leakage": 0.0}
+
+    @staticmethod
+    def _raw_case():
+        """No embedding: H on levels (0, 2) of a qutrit, then a -1 phase on
+        (2, 1); the state is 0.6|00> + 0.8|11>."""
+        register = QuditRegister((3, 2))
+        gates = [LevelPairGate(0, 0, 2, HADAMARD), TwoQuditCZ(0, 1, 2, 1)]
+        amps = np.array([0.6, 0, 0, 0.8, 0, 0], dtype=complex)
+        document = CircuitDocument(QuditCircuit(register, gates))
+        return document, amps, "01", {"01": 0.5, "21": 0.5}, {"00": 0.18, "11": 0.64, "20": 0.18}
+
+    @pytest.mark.parametrize("mode", ["input-probs", "input-shots", "state-probs"])
+    @pytest.mark.parametrize("kind", ["ququint", "qutrit", "qubit", "raw"])
+    def test_runs_without_a_dense_register(self, tmp_path, capsys, monkeypatch, kind, mode):
+        """``simulate`` starts from rows, not a register-sized vector, and
+        never runs the dense stride kernel."""
+        case = self._raw_case() if kind == "raw" else self._embedded_case(kind)
+        document, amps, bits, from_input, from_state = case
+        doc, state = tmp_path / "doc.json", tmp_path / "state.json"
+        doc.write_text(save_document(document))
+        state.write_text(json.dumps({"amplitudes": [[a.real, a.imag] for a in amps.tolist()]}))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulate used a dense register")
+
+        monkeypatch.setattr("ququint.core._apply_gate_inplace", refuse)
+        monkeypatch.setattr(StateVector, "basis_state", classmethod(refuse))
+        if mode == "input-shots":
+            code, stdout, _ = run_cli(
+                capsys, "simulate", str(doc), "--input", bits, "--shots", "1000", "--seed", "2"
+            )
+            outcomes = [o for o, p in from_input.items() if p]
+            counts = np.random.default_rng(2).multinomial(1000, [from_input[o] for o in outcomes])
+            rows = "".join(f"{o},{c}\n" for o, c in zip(outcomes, counts) if c)
+            assert (code, stdout) == (0, "outcome,count\n" + rows)
+            return
+        source = ["--input", bits] if mode == "input-probs" else ["--state", str(state)]
+        code, stdout, _ = run_cli(capsys, "simulate", str(doc), *source, "--probs")
+        expected = from_input if mode == "input-probs" else from_state
+        lines = stdout.splitlines()
+        assert (code, lines[0]) == (0, "outcome,probability")
+        printed = dict(line.rsplit(",", 1) for line in lines[1:])
+        assert list(printed) == list(expected)
+        for outcome, prob in expected.items():
+            assert abs(float(printed[outcome]) - prob) <= 1e-12
 
 
 def cz_document(phase: str) -> str:

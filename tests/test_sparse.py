@@ -1,9 +1,14 @@
 """Property tests on random mixed-radix circuits: the sparse basis
 propagator, the dense stride applier and the Kronecker matrices agree,
-same-site fusion keeps the unitary, and documents round-trip byte for
-byte."""
+same-site fusion keeps the unitary, ``simulate`` prints what the dense route
+reads out, and documents round-trip byte for byte."""
 
 import cmath
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given
@@ -13,17 +18,22 @@ from ququint import (
     HADAMARD,
     PAULI_X,
     CircuitDocument,
+    EmbeddingMap,
     LevelPairGate,
     QuditCircuit,
     QuditRegister,
+    QubitSlot,
     StateVector,
     TwoLevelUnitary,
     TwoQuditCZ,
     apply_circuit,
     circuit_unitary,
+    embed_basis_state,
     load_document,
+    read_out,
     save_document,
 )
+from ququint.cli import main
 from ququint.core import STATE_TOL, _propagate_sparse
 from ququint.decompose import _propagate_basis
 from ququint.grover import _fuse
@@ -166,3 +176,68 @@ def test_document_round_trip_is_byte_stable(circuit):
     loaded = load_document(text)
     assert loaded.circuit == circuit  # 17 significant digits reload every float exactly
     assert save_document(loaded) == text
+
+
+@st.composite
+def embeddings(draw, register):
+    """One or more qubits on ``register``, in a drawn order: each site hosts
+    nothing, a SINGLE qubit, or (on five levels) slot A alone or the pair."""
+    slots = []
+    for site, dim in enumerate(register.dims):
+        options = [(), (QubitSlot.SINGLE,)]
+        if dim == 5:
+            options += [(QubitSlot.A,), (QubitSlot.A, QubitSlot.B)]
+        slots += [(site, slot) for slot in draw(st.sampled_from(options))]
+    return EmbeddingMap(register, tuple(draw(st.permutations(slots or [(0, QubitSlot.SINGLE)]))))
+
+
+def printed_probs(document, source):
+    """What ``simulate --probs`` prints for ``document`` from ``source``
+    (``("--input", label)`` or ``("--state", amplitudes)``), as a dict."""
+    with tempfile.TemporaryDirectory() as tmp:
+        doc, state = Path(tmp) / "doc.json", Path(tmp) / "state.json"
+        doc.write_text(save_document(document))
+        flag, value = source
+        if flag == "--state":
+            state.write_text(json.dumps({"amplitudes": [[a.real, a.imag] for a in value.tolist()]}))
+            value = str(state)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["simulate", str(doc), flag, value, "--probs"]) == 0
+    lines = out.getvalue().splitlines()
+    assert lines[0] == "outcome,probability"
+    return {outcome: float(p) for outcome, p in (line.rsplit(",", 1) for line in lines[1:])}
+
+
+@given(circuits(), st.booleans(), st.data())
+def test_simulate_prints_the_dense_read_out(circuit, embedded, data):
+    """The CLI runs the sparse table; the oracle is the stride applier, then
+    ``read_out`` with an embedding or the labels above 1e-12 without one.
+    Both runs start from a basis input and from a random state file."""
+    register = circuit.register
+    emap = data.draw(embeddings(register)) if embedded else None
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    if emap is None:
+        label = tuple(int(rng.integers(d)) for d in register.dims)
+        text = ",".join(str(level) for level in label)
+    else:
+        text = "".join(str(b) for b in rng.integers(0, 2, emap.qubit_count))
+        label = embed_basis_state(text, emap)
+    amps = rng.normal(size=register.size) + 1j * rng.normal(size=register.size)
+    amps[rng.random(register.size) < 0.5] = 0  # the file lists zeros too
+    amps[rng.integers(register.size)] = 1
+    amps /= np.linalg.norm(amps)
+    starts = (
+        (("--input", text), StateVector.basis_state(register, label)),
+        (("--state", amps), StateVector(register, amps)),
+    )
+    for source, start in starts:
+        probs = apply_circuit(start, circuit).probabilities()
+        if emap is None:
+            expected = {register.label_str(i): p for i, p in enumerate(probs) if p > 1e-12}
+        else:
+            table = read_out(probs, emap)
+            expected = {**table.probabilities, "leakage": table.leakage}
+        printed = printed_probs(CircuitDocument(circuit, emap), source)
+        assert printed.keys() == expected.keys()
+        assert all(abs(printed[o] - p) <= 1e-12 for o, p in expected.items())
