@@ -16,6 +16,7 @@ import numpy as np
 from .core import StateVector, _propagate_sparse, _sample_counts
 from .counts import count_table, emit_report
 from .decompose import (
+    _MAX_SWEEP_N,
     METHODS,
     DecompositionRequest,
     DecompositionResult,
@@ -90,8 +91,8 @@ def cmd_verify(args) -> int:
     else:
         result, target = None, _parse_target("z" if args.target is None else args.target)
     n = args.n if result is None else result.embedding.qubit_count
-    if n > 10:  # refused before a ladder is compiled for nothing
-        raise ValueError(f"verification sweeps support n <= 10, got n={n}")
+    if n > _MAX_SWEEP_N:  # refused before a ladder is compiled for nothing
+        raise ValueError(f"verification sweeps support n <= {_MAX_SWEEP_N}, got n={n}")
     if result is None:
         result = decompose_cnz(DecompositionRequest(n, args.method, args.odd_variant, target))
     subset = None if (args.exhaustive or 2**n <= _SAMPLE_INPUTS) else _sample_bitstrings(n)

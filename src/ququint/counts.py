@@ -10,24 +10,17 @@ disagree with the actual gate tally.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
-from .decompose import _MAX_N, METHODS, DecompositionRequest, decompose_cnz, reported_count
-from .grover import auto_iterations
-
-COLUMNS = (
-    "n",
-    "iterations",
-    "qubit_per",
-    "qutrit_per",
-    "ququint_per",
-    "qubit_total",
-    "qutrit_total",
-    "ququint_total",
-    "ratio",
+from .decompose import (
+    _MAX_N,
+    _MAX_SWEEP_N,
+    METHODS,
+    DecompositionRequest,
+    decompose_cnz,
+    reported_count,
 )
-
-_CROSS_CHECK_MAX_N = 10
+from .grover import auto_iterations
 
 
 @dataclass(frozen=True)
@@ -41,6 +34,9 @@ class CountRow:
     qutrit_total: int
     ququint_total: int
     ratio: float | None  # qubit/ququint, 3 decimals; None when ququint is 0
+
+
+COLUMNS = tuple(field.name for field in fields(CountRow))
 
 
 @dataclass(frozen=True)
@@ -60,7 +56,8 @@ def count_table(n_min: int, n_max: int, odd_variant: str = "single") -> GateCoun
     Raises:
         ValueError: Range out of bounds or inverted.
         RuntimeError: A compiled circuit's tally disagrees with the closed
-            form (internal consistency check for n <= 10).
+            form (internal consistency check for n <= 14, the sizes whose
+            registers every method can build).
     """
     if not 2 <= n_min <= n_max <= _MAX_N:
         raise ValueError(
@@ -70,7 +67,7 @@ def count_table(n_min: int, n_max: int, odd_variant: str = "single") -> GateCoun
     for n in range(n_min, n_max + 1):
         iterations = auto_iterations(n)
         per = {method: reported_count(method, n, odd_variant) for method in METHODS}
-        if n <= _CROSS_CHECK_MAX_N:
+        if n <= _MAX_SWEEP_N:
             # decompose_cnz refuses a circuit whose tally leaves the closed form
             for method in METHODS:
                 decompose_cnz(DecompositionRequest(n, method, odd_variant))
@@ -96,12 +93,11 @@ def emit_report(report: GateCountReport, format: str) -> bytes:
     if format == "csv":
         lines = [",".join(COLUMNS)]
         for row in report.rows:
-            ratio = "" if row.ratio is None else f"{row.ratio:.3f}"
-            lines.append(
-                f"{row.n},{row.iterations},{row.qubit_per},{row.qutrit_per},"
-                f"{row.ququint_per},{row.qubit_total},{row.qutrit_total},"
-                f"{row.ququint_total},{ratio}"
-            )
+            cells = (getattr(row, column) for column in COLUMNS)
+            lines.append(",".join(
+                "" if v is None else f"{v:.3f}" if isinstance(v, float) else str(v)
+                for v in cells
+            ))
         return ("\n".join(lines) + "\n").encode("utf-8")
     if format == "json":
         payload = {
@@ -113,20 +109,3 @@ def emit_report(report: GateCountReport, format: str) -> bytes:
         }
         return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
     raise ValueError(f"unsupported format {format!r}, expected 'csv' or 'json'")
-
-
-def parse_report(data) -> GateCountReport:
-    """Inverse of :func:`emit_report` for the JSON format."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    payload = json.loads(data)
-    rows = []
-    for entry in payload["rows"]:
-        ratio = entry["ratio"]
-        rows.append(
-            CountRow(
-                **{column: entry[column] for column in COLUMNS if column != "ratio"},
-                ratio=None if ratio is None else float(ratio),
-            )
-        )
-    return GateCountReport(payload["oddVariant"], tuple(rows))

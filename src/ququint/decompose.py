@@ -41,6 +41,7 @@ import numpy as np
 
 from .core import (
     HADAMARD,
+    MAX_STATE_SIZE,
     STATE_TOL,
     LevelPairGate,
     QuditCircuit,
@@ -68,6 +69,12 @@ T_DAGGER = T_GATE.dagger()
 # ceiling. Registers stop fitting MAX_STATE_SIZE well below it (ququint at
 # n = 23), so larger requests are refused before any ladder is laid out.
 _MAX_N = 30
+
+# Largest qubit count a Grover search, a verify sweep or the count table's
+# cross-check runs at: the largest n at which every method's ladder register
+# fits MAX_STATE_SIZE. The qubit ladder's 2n - 2 two-level sites overflow
+# first (2^26 at n = 14); qutrit and ququint registers fit well past it.
+_MAX_SWEEP_N = (MAX_STATE_SIZE.bit_length() - 1) // 2 + 1
 
 
 @dataclass(frozen=True)
@@ -206,28 +213,23 @@ def decompose_cnz_qutrit(n: int) -> DecompositionResult:
     return DecompositionResult(circuit, emap, circuit.two_qudit_gate_count, 0)
 
 
-def _cnot(control: int, target: int) -> list[QuditGate]:
-    h = LevelPairGate(target, 0, 1, HADAMARD)
-    return [h, TwoQuditCZ(control, target, 1, 1), h]
-
-
 def _toffoli_network(a: int, b: int, t: int) -> list[QuditGate]:
     """Exact doubly-controlled NOT from six CNOTs plus eighth-turn phases."""
     gates: list[QuditGate] = [LevelPairGate(t, 0, 1, HADAMARD)]
-    gates += _cnot(b, t)
+    gates += build_cx(b, t, 1, 0, 1)
     gates.append(LevelPairGate(t, 0, 1, T_DAGGER))
-    gates += _cnot(a, t)
+    gates += build_cx(a, t, 1, 0, 1)
     gates.append(LevelPairGate(t, 0, 1, T_GATE))
-    gates += _cnot(b, t)
+    gates += build_cx(b, t, 1, 0, 1)
     gates.append(LevelPairGate(t, 0, 1, T_DAGGER))
-    gates += _cnot(a, t)
+    gates += build_cx(a, t, 1, 0, 1)
     gates.append(LevelPairGate(b, 0, 1, T_GATE))
     gates.append(LevelPairGate(t, 0, 1, T_GATE))
-    gates += _cnot(a, b)
+    gates += build_cx(a, b, 1, 0, 1)
     gates.append(LevelPairGate(t, 0, 1, HADAMARD))
     gates.append(LevelPairGate(a, 0, 1, T_GATE))
     gates.append(LevelPairGate(b, 0, 1, T_DAGGER))
-    gates += _cnot(a, b)
+    gates += build_cx(a, b, 1, 0, 1)
     return gates
 
 

@@ -64,6 +64,9 @@ class EmbeddingMap:
             "assignments",
             tuple((int(s), QubitSlot(slot)) for s, slot in self.assignments),
         )
+        if not self.assignments:
+            # an empty bitstring would pass every all-ones test vacuously
+            raise EmbeddingError("an embedding must map at least one qubit")
         seen = set()
         per_site: dict[int, set[QubitSlot]] = {}
         for site, slot in self.assignments:
@@ -281,7 +284,7 @@ class QubitReadout:
 @functools.lru_cache(maxsize=16)
 def _bit_labels(n: int) -> tuple[str, ...]:
     """The 2^n qubit bitstrings in index order, qubit 0 leftmost. Built
-    once per n; the cache holds more sizes than the eleven a search admits."""
+    once per n; the cache holds more sizes than the thirteen a search admits."""
     return tuple(format(i, f"0{n}b") for i in range(2**n))
 
 

@@ -38,6 +38,7 @@ from .core import (
     _propagate_sparse,
 )
 from .decompose import (
+    _MAX_SWEEP_N,
     METHODS,
     DecompositionRequest,
     _basis_rows,
@@ -106,15 +107,13 @@ def build_diffusion(n: int) -> list[Step]:
     return hs + xs + [("cnz",)] + xs + hs
 
 
-_SIZE_LIMIT = {"reference": 12, "qubit": 12, "qutrit": 10, "ququint": 10}
-
-
 @dataclass(frozen=True)
 class GroverSpec:
     """A search instance: size, hidden string, backend, iteration policy.
 
     Raises:
-        DimensionTooLargeError: The backend's register would be too big.
+        DimensionTooLargeError: ``n`` is above 14, the largest size at which
+            every method's ladder register fits ``MAX_STATE_SIZE``.
         ValueError: Any other field is out of range, an explicit iteration
             count beyond one period of the success probability included.
     """
@@ -136,10 +135,9 @@ class GroverSpec:
                 f"unknown method {self.method!r}, expected one of {BACKENDS}"
             )
         # before any iteration arithmetic, which overflows from n=2049
-        if self.n > _SIZE_LIMIT[self.method]:
+        if self.n > _MAX_SWEEP_N:
             raise DimensionTooLargeError(
-                f"method {self.method!r} supports n <= "
-                f"{_SIZE_LIMIT[self.method]}, got {self.n}"
+                f"method {self.method!r} supports n <= {_MAX_SWEEP_N}, got {self.n}"
             )
         if self.iterations != "auto":
             if type(self.iterations) is not int or self.iterations < 1:

@@ -186,7 +186,7 @@ class TestVerify:
         assert code == 0
         assert "inputs_checked=64" in stdout
 
-    @pytest.mark.parametrize("n,method", [("100000000000000000000", "qutrit"), ("14", "qubit")])
+    @pytest.mark.parametrize("n,method", [("100000000000000000000", "qutrit"), ("15", "qubit")])
     def test_oversized_n_refused_before_compiling(self, capsys, monkeypatch, n, method):
         monkeypatch.setattr("ququint.cli.decompose_cnz", lambda request: pytest.fail("compiled"))
         code, stdout, stderr = run_cli(capsys, "verify", "--n", n, "--method", method)
@@ -387,6 +387,21 @@ class TestOutsideInput:
         assert code == 2
         assert stderr.startswith("error: ")
 
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--circuit", "{doc}"),
+        ("simulate", "{doc}", "--input", "", "--probs"),
+    ], ids=["verify", "simulate"])
+    def test_embedding_without_qubits_refused(self, tmp_path, capsys, argv):
+        # verify printed FAIL input= with error 2.0, simulate the outcome 0
+        doc = tmp_path / "doc.json"
+        doc.write_text(
+            '{"version": 1, "dims": [2, 2], "embedding": '
+            '{"qubitCount": 0, "assignments": []}, "gates": []}'
+        )
+        code, stdout, stderr = run_cli(capsys, *(arg.format(doc=doc) for arg in argv))
+        assert (code, stdout) == (2, "")
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1
+
 
 class TestRawLevelInput:
     """Documents without an embedding take levels: one digit per site, or
@@ -463,14 +478,15 @@ class TestGrover:
         assert code == 2
         assert stderr.startswith("error:")
 
-    def test_qubit_beyond_size_limit_is_usage_error(self, capsys):
-        # the qubit backend's sparse table takes about half a minute at
-        # n=12; n=13 is refused before anything is compiled
+    def test_qubit_beyond_size_limit_is_usage_error(self, capsys, monkeypatch):
+        # n=14 fills the qubit ladder's 2^26 register; n=15 is refused
+        # before anything is compiled
+        monkeypatch.setattr("ququint.grover.decompose_cnz", lambda request: pytest.fail("compiled"))
         code, _, stderr = run_cli(
-            capsys, "grover", "--n", "13", "--omega", "1" * 13, "--method", "qubit"
+            capsys, "grover", "--n", "15", "--omega", "1" * 15, "--method", "qubit"
         )
         assert code == 2
-        assert "supports n <= 12" in stderr
+        assert "supports n <= 14" in stderr
 
     @pytest.mark.parametrize("n,count", [(2, 4), (10, 52), (10, 10**9)])
     def test_iterations_beyond_one_period_are_usage_error(self, capsys, n, count):

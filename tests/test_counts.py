@@ -1,13 +1,18 @@
+import dataclasses
+import json
+
 import pytest
 
 from ququint import (
     GateCountReport,
     auto_iterations,
     count_table,
+    decompose_cnz,
     emit_report,
     reported_count,
 )
-from ququint.counts import parse_report
+from ququint import counts
+from ququint.decompose import METHODS
 
 
 class TestCountTable:
@@ -43,17 +48,29 @@ class TestCountTable:
             assert all(r > 12 for r in seq)
 
     def test_matches_constructed_circuits(self):
-        # count_table cross-checks internally for n <= 10; also assert here
+        # count_table cross-checks internally for n <= 14; also assert here
         for variant in ("single", "neighbor"):
             for row in count_table(2, 10, variant).rows:
                 assert row.ququint_per == reported_count("ququint", row.n, variant)
                 assert row.iterations == auto_iterations(row.n)
 
-    @pytest.mark.parametrize("n", [9, 11])
+    @pytest.mark.parametrize("n", [9, 11, 15])
     def test_unknown_variant_rejected(self, n):
-        # n=9 is compiled and cross-checked, n=11 only looked up
+        # n=9 and n=11 are compiled and cross-checked, n=15 only looked up
         with pytest.raises(ValueError, match="odd variant"):
             count_table(n, n, "bogus")
+
+    @pytest.mark.parametrize("variant", ["single", "neighbor"])
+    def test_rows_up_to_the_sweep_limit_are_compiled(self, monkeypatch, variant):
+        compiled = []
+
+        def tally(request):
+            compiled.append((request.n, request.method))
+            return decompose_cnz(request)
+
+        monkeypatch.setattr(counts, "decompose_cnz", tally)
+        count_table(2, 30, variant)
+        assert compiled == [(n, m) for n in range(2, 15) for m in METHODS]
 
     def test_neighbor_variant_changes_odd_rows(self):
         single = {r.n: r.ququint_per for r in count_table(2, 9).rows}
@@ -99,7 +116,9 @@ class TestEmitReport:
 
     def test_json_round_trip(self):
         report = count_table(2, 12, "neighbor")
-        assert parse_report(emit_report(report, "json")) == report
+        payload = json.loads(emit_report(report, "json"))
+        assert payload["oddVariant"] == report.odd_variant
+        assert payload["rows"] == [dataclasses.asdict(row) for row in report.rows]
 
     def test_deterministic_bytes(self):
         assert emit_report(count_table(2, 20), "csv") == emit_report(

@@ -31,7 +31,7 @@ from ququint import (
     verify_decomposition,
 )
 from ququint import core
-from ququint.decompose import T_GATE, _fuse, _propagate_basis, to_cnx
+from ququint.decompose import _MAX_SWEEP_N, METHODS, T_GATE, _fuse, _propagate_basis, to_cnx
 
 
 def controlled_swap_matrix(register, ctl, tgt, i, k, level_l):
@@ -349,6 +349,26 @@ class TestDepth:
         result = decompose_cnz(DecompositionRequest(n, "qubit"))
         assert asap_depth(result.circuit.gates, two_particle_only=True) == 10 * n - 18
         assert asap_depth(result.circuit.gates) == 37 * n - 71
+
+
+class TestSweepLimit:
+    """One size limit for Grover searches, verify sweeps and the count
+    table's cross-check: the largest n at which every method's ladder
+    register fits ``MAX_STATE_SIZE``. The qubit ladder's 2n - 2 two-level
+    sites are the first to overflow."""
+
+    def test_limit_is_the_qubit_ladders_register_budget(self):
+        assert _MAX_SWEEP_N == 14
+        assert 2 ** (2 * _MAX_SWEEP_N - 2) == core.MAX_STATE_SIZE
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_every_method_compiles_at_the_limit(self, method):
+        result = decompose_cnz(DecompositionRequest(_MAX_SWEEP_N, method))
+        assert result.circuit.register.size <= core.MAX_STATE_SIZE
+
+    def test_qubit_ladder_refused_one_above(self):
+        with pytest.raises(core.DimensionTooLargeError):
+            decompose_cnz(DecompositionRequest(_MAX_SWEEP_N + 1, "qubit"))
 
 
 def central_cz_span(gates):

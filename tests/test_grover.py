@@ -23,7 +23,7 @@ from ququint import (
 )
 from ququint import grover
 from ququint.core import STATE_TOL, _apply_gate_inplace
-from ququint.decompose import METHODS
+from ququint.decompose import _MAX_SWEEP_N, METHODS
 from ququint.embedding import ODD_VARIANTS, lift_single_qubit_gate, read_out
 from ququint.grover import BACKENDS, build_diffusion, build_oracle
 
@@ -187,11 +187,18 @@ class TestRunGrover:
 
     def test_size_limits(self):
         with pytest.raises(DimensionTooLargeError):
-            run_grover(GroverSpec(11, "1" * 11, "ququint"))
+            run_grover(GroverSpec(15, "1" * 15, "ququint"))
         with pytest.raises(DimensionTooLargeError):
-            run_grover(GroverSpec(13, "1" * 13, "reference"))
-        with pytest.raises(DimensionTooLargeError, match="supports n <= 12"):
-            GroverSpec(13, "1" * 13, "qubit", iterations=3)
+            run_grover(GroverSpec(15, "1" * 15, "reference"))
+        with pytest.raises(DimensionTooLargeError, match="supports n <= 14"):
+            GroverSpec(15, "1" * 15, "qubit", iterations=3)
+
+    @pytest.mark.parametrize("method", BACKENDS)
+    def test_one_size_limit_for_every_backend(self, method):
+        limit = _MAX_SWEEP_N
+        assert GroverSpec(limit, "1" * limit, method).n == limit
+        with pytest.raises(DimensionTooLargeError, match=f"supports n <= {limit},"):
+            GroverSpec(limit + 1, "1" * (limit + 1), method)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import pytest
 from ququint import (
     HADAMARD,
     CircuitDocument,
+    EmbeddingError,
     LevelPairGate,
     QuditCircuit,
     QuditRegister,
@@ -161,6 +162,15 @@ class TestStrictLoading:
             '{"qubitCount": 2, "assignments": [[0, "single"]]}, "gates": []}'
         )
         with pytest.raises(ValueError, match="qubitCount"):
+            load_document(text)
+
+    def test_embedding_without_qubits_rejected(self):
+        # an empty bitstring passed the phase gate's all-ones test vacuously
+        text = (
+            '{"version": 1, "dims": [2, 2], "embedding": '
+            '{"qubitCount": 0, "assignments": []}, "gates": []}'
+        )
+        with pytest.raises(EmbeddingError, match="at least one qubit"):
             load_document(text)
 
     def test_embedding_register_mismatch(self):
