@@ -19,12 +19,11 @@ from .decompose import (
     _MAX_SWEEP_N,
     METHODS,
     DecompositionRequest,
-    DecompositionResult,
     _fuse,
     decompose_cnz,
     verify_decomposition,
 )
-from .embedding import ODD_VARIANTS, _read_out_rows, embed_basis_state
+from .embedding import ODD_VARIANTS, _parse_bits, _read_out_rows
 from .grover import BACKENDS, GroverSpec, run_grover
 from .serialize import CircuitDocument, _as_pair, _parse_json, load_document, save_document
 
@@ -74,18 +73,12 @@ def _sample_bitstrings(n: int) -> list[tuple[int, ...]]:
 
 def cmd_verify(args) -> int:
     if args.circuit:
-        document = _load_document_file(args.circuit)
-        if document.embedding is None:
+        result = _load_document_file(args.circuit)
+        if result.embedding is None:
             raise ValueError("document has no embedding; nothing to verify against")
-        result = DecompositionResult(
-            document.circuit,
-            document.embedding,
-            document.circuit.two_qudit_gate_count,
-            0,
-        )
         if args.target is not None:
             raise ValueError("--target applies to --n/--method; a document names its own")
-        target = document.target_qubit
+        target = result.target_qubit
     elif args.n is None or args.method is None:
         raise ValueError("either --circuit or both --n and --method are required")
     else:
@@ -114,8 +107,9 @@ def _start_rows(args, document: CircuitDocument) -> tuple[np.ndarray, np.ndarray
     one row for ``--input``, the nonzero amplitudes of a ``--state`` file."""
     register = document.circuit.register
     if args.input is not None:
-        if document.embedding is not None:
-            label = embed_basis_state(args.input, document.embedding)
+        emap = document.embedding
+        if emap is not None:
+            index = emap.encode(_parse_bits(args.input, emap.qubit_count))
         else:  # levels, one digit per site or comma-separated as printed
             listed = "," in args.input or register.num_sites == 1
             tokens = args.input.split(",") if listed else list(args.input)
@@ -124,8 +118,8 @@ def _start_rows(args, document: CircuitDocument) -> tuple[np.ndarray, np.ndarray
                     "--input without an embedding takes one level digit per site "
                     f"or comma-separated levels, got {args.input!r}"
                 )
-            label = tuple(int(t) for t in tokens)
-        return np.array([register.index(label)]), np.ones(1)
+            index = register.index(tuple(int(t) for t in tokens))
+        return np.array([index]), np.ones(1)
     payload = _parse_json(Path(args.state).read_text(encoding="utf-8"), "state file")
     if not isinstance(payload, dict) or not isinstance(payload.get("amplitudes"), list):
         raise ValueError('state file must be a JSON object with an "amplitudes" list')

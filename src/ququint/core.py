@@ -493,13 +493,6 @@ def _swap_control(h: LevelPairGate, after: list[QuditGate]) -> tuple[int, int] |
     return None
 
 
-def _key_runs(sorted_keys: np.ndarray) -> np.ndarray:
-    """Position of the first row of each run of equal keys."""
-    first = np.ones(len(sorted_keys), dtype=bool)
-    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])
-    return np.flatnonzero(first)
-
-
 def _merge_pairs(keys: np.ndarray, amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rows sorted by key, each key at most twice on input and once on
     output with the two amplitudes summed, and rows with |amplitude| <=

@@ -33,7 +33,6 @@ from .core import (
     QuditGate,
     QuditRegister,
     _apply_gate_inplace,
-    _key_runs,
     _merge_pairs,
     _propagate_sparse,
 )
@@ -224,18 +223,17 @@ def _compile(gates: list[LevelPairGate], emap: EmbeddingMap) -> Layer:
     return _factor(gates, 0, h), _factor(gates, h, n - h).T, lifted
 
 
-class _RowMap:
-    """Fixed rows ``new[key] += coef * old[src]``, grouped by key once."""
-
-    def __init__(self, src: np.ndarray, keys: np.ndarray, coefs: np.ndarray):
-        order = np.argsort(keys, kind="stable")
-        self.src, self.coefs, keys = src[order], coefs[order], keys[order]
-        self.first = _key_runs(keys)
-        self.keys = keys[self.first]
-
-    def __call__(self, old: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Each key once, sorted, and its summed amplitude."""
-        return self.keys, np.add.reduceat(self.coefs * old[self.src], self.first)
+def _row_sums(
+    old: np.ndarray, bins: np.ndarray, src: np.ndarray, coefs: np.ndarray, count: int
+) -> np.ndarray:
+    """Fixed rows ``out[bin] += coef * old[src]`` into ``count`` bins from 0,
+    in row order: one ``np.bincount`` for the real part, one for the
+    imaginary."""
+    terms = coefs * old[src]
+    out = np.empty(count, dtype=np.complex128)
+    out.real = np.bincount(bins, weights=terms.real, minlength=count)
+    out.imag = np.bincount(bins, weights=terms.imag, minlength=count)
+    return out
 
 
 class _SearchState:
@@ -278,8 +276,10 @@ class _SearchState:
         else:
             src, index, amps = _basis_rows(emap.register, ladder, self.view)
         dst, inside = self._locate(index)
-        self.gather = _RowMap(src[inside], dst[inside], amps[inside])
-        self.leak = _RowMap(src[~inside], index[~inside], amps[~inside])  # off the view
+        self.gather = dst[inside], src[inside], amps[inside]
+        # off the view: each key once, sorted, and the bin of every row
+        self.leak_keys, bins = np.unique(index[~inside], return_inverse=True)
+        self.leak = bins, src[~inside], amps[~inside]
 
     def _locate(self, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Vector entry of each flat register index, and whether it is in
@@ -298,20 +298,19 @@ class _SearchState:
     def apply_ladder(self) -> float:
         """One multi-controlled Z; returns the probability then held off the
         computational levels."""
-        old, new = self.vector, np.zeros_like(self.vector)
-        dst, amps = self.gather(old)
-        new[dst] = amps
+        old = self.vector
+        new = _row_sums(old, *self.gather, len(old))
         keys, amps = self.rest
         if len(keys):
             keys, amps = _propagate_sparse(self.emap.register, self.ladder, keys, amps)
             dst, inside = self._locate(keys)
             new[dst[inside]] += amps[inside]  # one row per view index
             keys, amps = keys[~inside], amps[~inside]
-        if len(self.leak.keys):
+        if len(self.leak_keys):
             # rest keys are unique, and so are the leak keys
-            leak_keys, leaked = self.leak(old)
+            leaked = _row_sums(old, *self.leak, len(self.leak_keys))
             keys, amps = _merge_pairs(
-                np.concatenate((keys, leak_keys)), np.concatenate((amps, leaked))
+                np.concatenate((keys, self.leak_keys)), np.concatenate((amps, leaked))
             )
         self.vector, self.rest = new, (keys, amps)
         if not len(keys):

@@ -236,6 +236,21 @@ class TestMethodAgnosticism:
                     key,
                 )
 
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_swap_ladders_are_exact(self, n):
+        # the qutrit and ququint ladders are controlled level swaps around a
+        # phase: run as moves of keys, they add no rounding to the search
+        omega = ("10" * n)[:n]
+        reference = run_grover(GroverSpec(n, omega, "reference")).distribution
+        for method, variant in [
+            ("qutrit", "single"),
+            ("ququint", "single"),
+            ("ququint", "neighbor"),
+        ]:
+            report = run_grover(GroverSpec(n, omega, method, odd_variant=variant))
+            assert report.distribution == reference, (method, variant)
+            assert report.leakage == 0.0, (method, variant)
+
     def test_prepared_registers_have_expected_shapes(self):
         from ququint.grover import _prepare_backend
 
