@@ -1,0 +1,72 @@
+#!/usr/bin/env bash
+# CLI and bench smokes at the size limits, run by the tier1 workflow one
+# step at a time and runnable locally as a whole.
+#
+#   ci/smoke.sh [large-search|verify|size-limit|simulate|bench|all]
+#
+# Run from the root of a checkout. Each command has a 60 s bound; a step
+# fails on the first command that fails or runs past it.
+set -euo pipefail
+
+export PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH}
+if [ -n "${RUNNER_TEMP:-}" ]; then
+  tmp="$RUNNER_TEMP"
+else
+  tmp="$(mktemp -d)"
+  trap 'rm -rf "$tmp"' EXIT
+fi
+
+large_search() {
+  for method in reference qubit qutrit ququint; do
+    timeout 60 python -m ququint grover --n 14 --method "$method" --omega 10101010101010 --report json > /dev/null
+  done
+  timeout 60 python -m ququint grover --n 13 --method ququint --odd-variant neighbor --omega 1010101010101 --report json > /dev/null
+}
+
+verify() {
+  for method in qubit qutrit ququint; do
+    timeout 60 python -m ququint verify --n 14 --method "$method" --exhaustive
+    timeout 60 python -m ququint verify --n 14 --method "$method" --exhaustive --target x:13
+  done
+}
+
+size_limit() {
+  local code
+  for method in reference qubit qutrit ququint; do
+    code=0
+    timeout 60 python -m ququint grover --n 15 --method "$method" --omega 101010101010101 || code=$?
+    test "$code" -eq 2
+  done
+  for method in qubit qutrit ququint; do
+    code=0
+    timeout 60 python -m ququint verify --n 15 --method "$method" --exhaustive || code=$?
+    test "$code" -eq 2
+  done
+}
+
+simulate() {
+  local doc="$tmp/q14.json" big="$tmp/q22.json"
+  timeout 60 python -m ququint decompose --n 14 --method qubit --out "$doc"
+  timeout 60 python -m ququint simulate "$doc" --input 11111111111111 --probs > /dev/null
+  timeout 60 python -m ququint simulate "$doc" --input 11111111111111 --shots 1000 --seed 1
+  # the largest ququint document (n = 22, 5^11 amplitudes): --shots reads
+  # out only the bitstrings its rows reach, here one
+  timeout 60 python -m ququint decompose --n 22 --method ququint --out "$big"
+  timeout 60 python -m ququint simulate "$big" --input 1111111111111111111111 --shots 1000 --seed 1
+}
+
+bench() {
+  for workload in grover-backends verify-sweep cli-roundtrip; do
+    python3 bench/run.py --workload "$workload" --seed 1 --seconds 4 --trace 1
+  done
+}
+
+case "${1:-all}" in
+  large-search) large_search ;;
+  verify) verify ;;
+  size-limit) size_limit ;;
+  simulate) simulate ;;
+  bench) bench ;;
+  all) large_search; verify; size_limit; simulate; bench ;;
+  *) echo "usage: $0 [large-search|verify|size-limit|simulate|bench|all]" >&2; exit 2 ;;
+esac

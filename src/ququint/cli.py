@@ -7,6 +7,7 @@ Machine-readable payloads go to stdout, diagnostics to stderr. Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -19,11 +20,11 @@ from .decompose import (
     _MAX_SWEEP_N,
     METHODS,
     DecompositionRequest,
-    _fuse,
+    _plan,
     decompose_cnz,
     verify_decomposition,
 )
-from .embedding import ODD_VARIANTS, _parse_bits, _read_out_rows
+from .embedding import ODD_VARIANTS, _bit_labels, _parse_bits
 from .grover import BACKENDS, GroverSpec, run_grover
 from .serialize import CircuitDocument, _as_pair, _parse_json, load_document, save_document
 
@@ -133,29 +134,35 @@ def _outcome_table(
     document: CircuitDocument, keys: np.ndarray, amps: np.ndarray
 ) -> tuple[list[str], list[float]]:
     """Outcomes of the live rows and their probabilities: with an
-    embedding, every qubit bitstring, sorted, then ``leakage``; without
-    one, the level label of each row, in index order."""
+    embedding, the qubit bitstrings the rows reach, sorted, then
+    ``leakage``; without one, the level label of each row, in index order.
+    Each bitstring's weight sums its rows in row order, as ``read_out``
+    does."""
     probs = np.abs(amps) ** 2
-    if document.embedding is None:
+    emap = document.embedding
+    if emap is None:
         register = document.circuit.register
         return [register.label_str(int(k)) for k in keys], probs.tolist()
-    table = _read_out_rows(keys, probs, document.embedding)
-    outcomes = sorted(table.probabilities)
-    weights = [table.probabilities[o] for o in outcomes] + [table.leakage]
-    return outcomes + ["leakage"], weights
+    outcome, computational = emap.decode(keys)
+    live, bins = np.unique(outcome[computational], return_inverse=True)
+    weights = np.bincount(bins, weights=probs[computational], minlength=len(live))
+    n = emap.qubit_count
+    outcomes = [format(x, f"0{n}b") for x in live.tolist()]
+    return outcomes + ["leakage"], weights.tolist() + [float(probs[~computational].sum())]
 
 
 def cmd_simulate(args) -> int:
     document = _load_document_file(args.circuit)
     circuit = document.circuit
     keys, amps = _propagate_sparse(
-        circuit.register, _fuse(circuit.gates), *_start_rows(args, document)
+        circuit.register, _plan(circuit.register, circuit.gates), *_start_rows(args, document)
     )
     outcomes, probs = _outcome_table(document, keys, amps)
     if args.shots is not None:
         # each entry (leakage included) holds the total weight of the register
         # outcomes it stands for, so one draw over the table has the
-        # distribution of register samples read out
+        # distribution of register samples read out; an outcome no row
+        # reaches has weight 0 and draws nothing, so it needs no entry
         counts = _sample_counts(probs, args.seed, args.shots)
         print("outcome,count")
         for outcome, count in zip(outcomes, counts):
@@ -163,9 +170,15 @@ def cmd_simulate(args) -> int:
                 print(f"{outcome},{count}")
         return 0
     print("outcome,probability")
-    for outcome, prob in zip(outcomes, probs):
-        if document.embedding is not None or prob > 1e-12:
-            print(f"{outcome},{prob:.12g}")
+    if document.embedding is None:
+        for outcome, prob in zip(outcomes, probs):
+            if prob > 1e-12:
+                print(f"{outcome},{prob:.12g}")
+        return 0
+    # every bitstring, in index order, then leakage
+    reached = dict(zip(outcomes, probs))
+    for outcome in _bit_labels(document.embedding.qubit_count) + ("leakage",):
+        print(f"{outcome},{reached.get(outcome, 0.0):.12g}")
     return 0
 
 
@@ -279,8 +292,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call of a process; parsing leaves it
+    unchanged, so every later call reuses it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -401,60 +402,75 @@ def apply_circuit(state: StateVector, circuit: QuditCircuit) -> StateVector:
 # Sparse propagation of many basis inputs at once. A table row is one live
 # amplitude: its key is input * register.size + flat index, so the digit of
 # any site reads off the key exactly as off the flat index, and sorting by
-# key sorts by (input, index). Work costs O(rows) per gate, whatever the
-# register size.
+# key sorts by (input, index). Work costs O(rows) per step, whatever the
+# register size. A step is a gate or a :class:`_Move`: a run of gates on at
+# most three sites that only permutes basis states and multiplies phases
+# (``decompose._plan`` finds them), such as a Toffoli block or two
+# controlled level swaps on three sites. A move reads the run's digits once
+# and moves each row's key by a table entry, so it adds no rows and needs no
+# merge.
 # ---------------------------------------------------------------------------
 
 _PRUNE = 1e-16  # drop exactly-cancelled branches; far below any tolerance
 
 
-def _propagate_sparse(
-    register: QuditRegister, gates: list[QuditGate], keys: np.ndarray, amps: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Run ``gates`` on a table of (key, amplitude) rows with unique keys in
-    any order; returns the new keys, sorted, and their amplitudes.
+class _Move(NamedTuple):
+    """A monomial action on a few sites of a register. The local index of a
+    row is the sum of ``(key // stride) % span * weight`` over ``reads``, one
+    read per run of adjacent sites; the row's key moves by ``shift[local]``
+    and its amplitude is multiplied by ``phase[local]``. Either table is
+    None when it would change nothing (all shifts 0, all phases 1)."""
 
-    Phases multiply the matching rows in place. A controlled level swap
-    (:func:`_swap_control`) moves the keys of the rows it exchanges and
-    leaves their amplitudes alone. Any other mixing level-pair gate emits,
-    for each row on its level pair, the row and its partner, and merges the
-    pairs of equal keys (``_merge_pairs``, which sorts). One final sort runs
-    only when no merge came after the last swap, or after the input.
+    reads: tuple[tuple[int, int, int], ...]
+    shift: np.ndarray | None
+    phase: np.ndarray | None
+
+
+def _propagate_sparse(
+    register: QuditRegister, steps: list, keys: np.ndarray, amps: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Run ``steps`` (gates and :class:`_Move` steps) on a table of (key,
+    amplitude) rows with unique keys in any order; returns the new keys,
+    sorted, and their amplitudes.
+
+    Phases multiply the matching rows in place, and a move shifts keys and
+    multiplies phases. Any other mixing level-pair gate emits, for each row
+    on its level pair, the row and its partner, and merges the pairs of equal
+    keys (``_merge_pairs``, which sorts). One final sort runs only when no
+    merge came after the last move that shifted keys, or after the input.
     """
     dims, strides = register.dims, register.strides
     keys = np.array(keys, dtype=np.int64)
     amps = np.array(amps, dtype=np.complex128)
     ordered = False
-    g = 0
-    while g < len(gates):
-        gate = gates[g]
-        g += 1
-        if isinstance(gate, TwoQuditCZ):
-            hit = ((keys // strides[gate.site_a]) % dims[gate.site_a] == gate.i) & (
-                (keys // strides[gate.site_b]) % dims[gate.site_b] == gate.j
+    for step in steps:
+        if isinstance(step, _Move):
+            (stride, span, _), *more = step.reads  # the first has weight 1
+            local = (keys // stride) % span
+            for stride, span, weight in more:
+                local += (keys // stride) % span * weight
+            if step.shift is not None:
+                keys += step.shift[local]
+                ordered = False
+            if step.phase is not None:
+                amps *= step.phase[local]
+            continue
+        if isinstance(step, TwoQuditCZ):
+            hit = ((keys // strides[step.site_a]) % dims[step.site_a] == step.i) & (
+                (keys // strides[step.site_b]) % dims[step.site_b] == step.j
             )
-            amps[hit] *= gate.phase
+            amps[hit] *= step.phase
             continue
-        stride, u = strides[gate.site], gate.u
-        digit = (keys // stride) % dims[gate.site]
-        on_i, on_j = digit == gate.i, digit == gate.j
-        shift = (gate.j - gate.i) * stride
-        control = _swap_control(gate, gates[g : g + 2])
-        if control is not None:
-            site, level = control
-            held = (keys // strides[site]) % dims[site] == level
-            down = held & on_j  # computed before any key moves
-            keys[held & on_i] += shift
-            keys[down] -= shift
-            ordered = False
-            g += 2
-            continue
+        stride, u = strides[step.site], step.u
+        digit = (keys // stride) % dims[step.site]
+        on_i, on_j = digit == step.i, digit == step.j
         if u.beta == 0 and u.gamma == 0:
             if u.alpha != 1:
                 amps[on_i] *= u.alpha
             if u.delta != 1:
                 amps[on_j] *= u.delta
             continue
+        shift = (step.j - step.i) * stride
         rest = ~(on_i | on_j)
         key_i, key_j = keys[on_i], keys[on_j]
         amp_i, amp_j = amps[on_i], amps[on_j]
@@ -470,27 +486,6 @@ def _propagate_sparse(
         order = np.argsort(keys, kind="stable")
         keys, amps = keys[order], amps[order]
     return keys, amps
-
-
-def _swap_control(h: LevelPairGate, after: list[QuditGate]) -> tuple[int, int] | None:
-    """The control ``(site, level)`` if ``h`` and the two gates ``after`` it
-    are H on a target's level pair (k, l), a -1 phase on the target at l and
-    the control at its level (either site order), and the same H again.
-
-    H diag(1, -1) H = X, and H H = 1, so the three together exchange the
-    target's levels k and l exactly where the control is at its level and
-    do nothing elsewhere: a move of keys by +-(l - k) * stride.
-    """
-    if len(after) < 2 or not isinstance(after[0], TwoQuditCZ):
-        return None  # the cheap test first: most gates fail it
-    cz = after[0]
-    if cz.phase != -1 or after[1] != h or h.u != HADAMARD:
-        return None
-    if (cz.site_b, cz.j) == (h.site, h.j):
-        return cz.site_a, cz.i
-    if (cz.site_a, cz.i) == (h.site, h.j):
-        return cz.site_b, cz.j
-    return None
 
 
 def _merge_pairs(keys: np.ndarray, amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -27,12 +27,14 @@ register plus the embedding that interprets it:
 Every controlled level swap is inlined as (H on the level pair, controlled
 phase, H again), so the two-particle tally is exactly the number of
 :class:`~ququint.core.TwoQuditCZ` gates in the circuit. The sparse table
-that verifies ladders, simulates documents and runs Grover searches
-recognises each such triple and applies it as the exact level exchange it is.
+that verifies ladders, simulates documents and runs Grover searches runs
+each run of gates on at most three sites that only permutes basis states (a
+pair of such swaps, a Toffoli block) as the exact move of keys it is.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -41,6 +43,7 @@ import numpy as np
 
 from .core import (
     HADAMARD,
+    MATRIX_TOL,
     MAX_STATE_SIZE,
     STATE_TOL,
     LevelPairGate,
@@ -48,6 +51,8 @@ from .core import (
     QuditGate,
     QuditRegister,
     TwoQuditCZ,
+    _Move,
+    _apply_gate_inplace,
     _propagate_sparse,
     phase_shift,
 )
@@ -300,27 +305,28 @@ def decompose_cnz(request: DecompositionRequest) -> DecompositionResult:
 # vector. ``_basis_rows`` owns the one block loop: it pushes the inputs
 # through the circuit ``_BLOCK`` at a time, each block one sparse table with
 # a row per live amplitude keyed by (input, flat index)
-# (``core._propagate_sparse``, which runs each controlled level swap as a
-# move of keys), and returns every input's rows as one table. The block
-# bounds the table each gate works on, whatever n is: at 1-5 rows per
-# input a block is about 100 KiB. Same-site runs of level-pair
-# gates are fused once per circuit (``_fuse``; the qubit ladder at n=10
-# drops from 433 to 234 gates). The swaps are recognised after fusion: the
-# qutrit and ququint ladders keep every one, so their phase ladders verify
-# with zero error, while fusion folds both H's of every CNOT in the qubit
-# ladder into neighbouring gates (n >= 3). Start and expected indices are
-# encoded for every input at once (``EmbeddingMap.encode``), and per-input
-# errors and leakage are reduced over the table in one pass. Grover searches
-# take their ladder's action on the embedded basis from the same rows, and
-# ``simulate`` runs a document through the same propagator; tests
-# cross-check it against the dense applier.
+# (``core._propagate_sparse``), and returns every input's rows as one table.
+# The circuit is planned once (``_plan``): every window of consecutive gates
+# on at most three sites whose product only permutes basis states and
+# multiplies phases runs as one move of keys, and the gates left over are
+# fused (``_fuse``). Each Toffoli block of the qubit ladder is such a window,
+# and so is each pair of controlled level swaps of the qutrit and ququint
+# ladders, so every phase ladder is moves only: its table keeps one row per
+# input and it verifies with zero error and leakage. An inversion keeps its
+# target's Hadamards as mixing gates. Start and expected indices are encoded
+# for every input at once (``EmbeddingMap.encode``), and per-input errors and
+# leakage are reduced over the table in one pass. Grover searches take their
+# ladder's action on the embedded basis from the same rows, and ``simulate``
+# runs a document through the same plan; tests cross-check both against the
+# dense applier.
 # ---------------------------------------------------------------------------
 
-# Inputs propagated together. No bench workload sweeps more than 1,024
-# inputs, but a 2^14 sweep does: each mixing gate concatenates five arrays the
-# size of its table, so one table for every input took the qubit ladder's
-# ``verify --n 14 --exhaustive --target x:13`` from 39 to 49 MiB peak RSS and
-# up to about 15 % longer (2-vCPU host), while swap-only ladders ran faster.
+# Inputs propagated together. It bounds the table each step works on,
+# whatever n is, and keeps keys below _BLOCK * register.size. A phase ladder
+# keeps one row per input; each mixing gate left in a plan concatenates five
+# arrays the size of its table, so one table for all 2^14 inputs raised the
+# peak RSS of ``verify --n 14 --exhaustive --target x:13`` by 2-4 MiB on
+# every method (qubit 37.7 -> 39.8 MiB) and ran no faster (2-vCPU host).
 _BLOCK = 1024
 
 
@@ -362,6 +368,146 @@ def _fuse(gates: list[QuditGate]) -> list[QuditGate]:
             last[gate.site] = len(out)
             out.append(gate)
     return out
+
+
+# Windows: runs of consecutive gates on at most three sites, whose local
+# unitary (at most 125 x 125, three five-level sites) is built once per
+# distinct run. Two bounds keep the compile of a circuit of many mixing
+# gates on few sites short: a run is cut at _WINDOW_GATES gates, and its
+# scan stops once a product spreads a column over more than _WINDOW_SPREAD
+# entries, past which no compiled ladder goes (its windows spread at most 4
+# wide) and random mixing gates on three five-level sites go within a few
+# gates.
+_WINDOW_SITES = 3
+_WINDOW_SIZE = 125
+_WINDOW_GATES = 32
+_WINDOW_SPREAD = 8
+# Rounding of a window's product (its largest on the compiled ladders is
+# 1.4e-15): a monomial window's other entries may be this far from 0, and a
+# phase this close to 1, -1, i or -i is snapped to it. A larger deviation,
+# such as a gate's own (each may be off by up to MATRIX_TOL), is kept as
+# gate-by-gate runs keep it, so the verifier still reports it.
+_SNAP = 1e-14
+_UNITS = np.array([1, -1, 1j, -1j])
+
+
+def _plan(register: QuditRegister, gates: list[QuditGate]) -> list:
+    """The steps the sparse table runs for ``gates``, built once per circuit.
+
+    From each gate on, the window is the longest run of gates on at most
+    three sites. Its longest prefix whose local unitary is monomial (one
+    entry per column of modulus within ``MATRIX_TOL`` of 1, every other
+    entry at most ``_SNAP``) becomes one :class:`~ququint.core._Move`, or
+    nothing when it is the identity; when no prefix is monomial, the first
+    gate is kept as it is. Each run of kept gates is fused (``_fuse``). A
+    qubit Toffoli block, a qutrit or ququint pair of controlled level swaps
+    and every phase gate become moves."""
+    dims, strides = register.dims, register.strides
+    steps: list = []
+    plain: list[QuditGate] = []
+    g = 0
+    while g < len(gates):
+        sites, key = _window(dims, gates, g)
+        length, delta, phase = _monomial_prefix(tuple(dims[s] for s in sites), key)
+        if not length:
+            plain.append(gates[g])
+            g += 1
+            continue
+        steps += _fuse(plain)
+        plain = []
+        if delta is not None or phase is not None:
+            steps.append(_move(dims, strides, sites, delta, phase))
+        g += length
+    return steps + _fuse(plain)
+
+
+def _window(dims, gates, g) -> tuple[list[int], tuple]:
+    """The sorted sites of the window from gate ``g``, and its gates with
+    each site renamed to its place among them, as a hashable key."""
+    touched: set[int] = set()
+    size, end, stop = 1, g, min(len(gates), g + _WINDOW_GATES)
+    while end < stop:
+        gate = gates[end]
+        if isinstance(gate, LevelPairGate):
+            new = [] if gate.site in touched else [gate.site]
+        else:
+            new = [s for s in (gate.site_a, gate.site_b) if s not in touched]
+        if new:
+            grow = math.prod(dims[s] for s in new)
+            if len(touched) + len(new) > _WINDOW_SITES or size * grow > _WINDOW_SIZE:
+                break
+            touched.update(new)
+            size *= grow
+        end += 1
+    sites = sorted(touched)
+    local = {s: k for k, s in enumerate(sites)}
+    key = tuple(
+        (local[gate.site], gate.i, gate.j, gate.u)
+        if isinstance(gate, LevelPairGate)
+        else (local[gate.site_a], local[gate.site_b], gate.i, gate.j, gate.phase)
+        for gate in gates[g:end]
+    )
+    return sites, key
+
+
+@functools.lru_cache(maxsize=256)
+def _monomial_prefix(dims: tuple[int, ...], key: tuple) -> tuple:
+    """The longest prefix of a window's gates (``_window``'s key) whose
+    local unitary is monomial: its length (0 if none is), then the change of
+    each site's digit from every column to the row it goes to (None for the
+    identity permutation), and the phase each column takes there, snapped
+    to the nearest of 1, -1, i, -i within ``_SNAP`` (None if all are 1).
+
+    The unitary is built as ``grover._factor`` builds its factors: each gate
+    runs through the stride kernel on the row digits of an identity matrix
+    (at most 125 x 125, never register-sized)."""
+    size = math.prod(dims)
+    columns = np.arange(size)
+    m = np.eye(size, dtype=np.complex128)
+    mag = np.empty((size, size))  # reused: a fresh array per gate costs 3x
+    found = 0, None, None
+    for count, entry in enumerate(key, 1):
+        gate = LevelPairGate(*entry) if len(entry) == 4 else TwoQuditCZ(*entry)
+        _apply_gate_inplace(m, dims + (size,), gate)
+        np.abs(m, out=mag)
+        widest = np.count_nonzero(mag > _SNAP, axis=0).max()
+        if widest > _WINDOW_SPREAD:
+            break
+        if widest > 1:
+            continue
+        rows = mag.argmax(axis=0)
+        if np.all(np.abs(mag[rows, columns] - 1.0) <= MATRIX_TOL) and np.all(
+            np.bincount(rows, minlength=size) == 1
+        ):
+            phase = m[rows, columns]
+            near = np.abs(phase[:, None] - _UNITS) <= _SNAP
+            phase = np.where(near.any(axis=1), _UNITS[near.argmax(axis=1)], phase)
+            digits = np.array(np.unravel_index(columns, dims))
+            delta = digits[:, rows] - digits
+            delta.flags.writeable = phase.flags.writeable = False  # shared via the cache
+            found = (
+                count,
+                delta if delta.any() else None,
+                None if np.all(phase == 1) else phase,
+            )
+    return found
+
+
+def _move(dims, strides, sites: list[int], delta: np.ndarray | None, phase) -> _Move:
+    """The move of a monomial window on ``sites`` (``_monomial_prefix``'s
+    digit changes ``delta`` and ``phase``) on a register of ``dims``."""
+    shift = None if delta is None else np.array([strides[s] for s in sites]) @ delta
+    # one read per run of adjacent sites, the least significant run first
+    reads, weight, k = [], 1, len(sites)
+    while k:
+        j, span = k - 1, dims[sites[k - 1]]
+        while j and sites[j - 1] == sites[j] - 1:
+            j -= 1
+            span *= dims[sites[j]]
+        reads.append((strides[sites[k - 1]], span, weight))
+        weight *= span
+        k = j
+    return _Move(tuple(reads), shift, phase)
 
 
 def _propagate_basis(
@@ -480,7 +626,8 @@ def verify_decomposition(
     starts, expects = encode(bits), encode(expected)
     signs = np.repeat(signs, len(bystanders))
 
-    errors, leaks = _scores(result, _fuse(result.circuit.gates), starts, expects, signs)
+    circuit = result.circuit
+    errors, leaks = _scores(result, _plan(circuit.register, circuit.gates), starts, expects, signs)
 
     report = VerificationReport(
         float(errors.max(initial=0.0)), float(leaks.max(initial=0.0)), len(starts), None

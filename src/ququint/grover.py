@@ -42,6 +42,7 @@ from .decompose import (
     DecompositionRequest,
     _basis_rows,
     _fuse,
+    _plan,
     decompose_cnz,
 )
 from .embedding import (
@@ -170,9 +171,8 @@ class GroverReport:
 
 
 def _prepare_backend(n: int, method: str, odd_variant: str):
-    """Register, embedding, compiled multi-controlled-Z gates with same-site
-    runs fused (None for the exact reference), and the per-gate
-    two-particle count (fusion leaves the controlled phases alone)."""
+    """Register, embedding, compiled multi-controlled-Z gates (None for the
+    exact reference), and the per-gate two-particle count."""
     if method == "reference":
         register = QuditRegister((2,) * n)
         emap = EmbeddingMap(register, tuple((q, QubitSlot.SINGLE) for q in range(n)))
@@ -181,7 +181,7 @@ def _prepare_backend(n: int, method: str, odd_variant: str):
     return (
         result.circuit.register,
         result.embedding,
-        _fuse(result.circuit.gates),
+        result.circuit.gates,
         result.two_particle_gate_count,
     )
 
@@ -252,18 +252,20 @@ class _SearchState:
     high and low qubits, built once per search by :func:`_compile`. The
     rest table takes the lifted gates one by one, so its rows stay exact.
 
-    The ladder's action on the view is computed once: each view index is
-    pushed through it as its own amplitude-1 basis input (the verifier's
-    batched table, pruned as there), so by linearity one application is a
-    gather-add on the vector plus the rows it sends off the view. The rest
-    table goes through the ladder gate by gate; for a correct ladder it holds
-    at most rounding residues that survive the prune (a few rows near 1e-16
-    on the qubit ladder's work sites).
+    The ladder is planned once (``decompose._plan``: its monomial windows
+    as moves of keys, the rest fused), and its action on the view is
+    computed once: each view index is pushed through it as its own
+    amplitude-1 basis input (the verifier's batched table), so by linearity
+    one application is a gather-add on the vector plus the rows it sends off
+    the view. The rest table goes through the same plan. Every compiled
+    phase ladder is moves only, so each view index maps to +-itself
+    exactly and the rest table stays empty.
     """
 
     def __init__(self, emap: EmbeddingMap, ladder: list[QuditGate] | None):
         n = emap.qubit_count
-        self.emap, self.ladder = emap, ladder
+        self.emap = emap
+        self.ladder = None if ladder is None else _plan(emap.register, ladder)
         self.view = emap.encode(_counting_bits(n))
         self.vector = np.zeros(2**n, dtype=np.complex128)
         self.vector[0] = 1.0  # |0...0>
@@ -274,7 +276,7 @@ class _SearchState:
             amps = np.ones(2**n, dtype=np.complex128)
             amps[-1] = -1.0
         else:
-            src, index, amps = _basis_rows(emap.register, ladder, self.view)
+            src, index, amps = _basis_rows(emap.register, self.ladder, self.view)
         dst, inside = self._locate(index)
         self.gather = dst[inside], src[inside], amps[inside]
         # off the view: each key once, sorted, and the bin of every row

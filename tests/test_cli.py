@@ -17,7 +17,11 @@ from ququint import (
     load_document,
     save_document,
 )
-from ququint.cli import main
+from ququint import cli
+from ququint.cli import _outcome_table, main
+from ququint.core import _propagate_sparse, _sample_counts
+from ququint.decompose import _plan
+from ququint.embedding import _read_out_rows
 
 
 def run_cli(capsys, *argv):
@@ -348,6 +352,50 @@ class TestSimulate:
             assert abs(float(printed[outcome]) - prob) <= 1e-12
 
 
+def _simulate_layouts():
+    """Every method and layout at n = 2..8, as the phase gate and as the
+    inversion of qubit 0."""
+    for n in range(2, 9):
+        layouts = [("ququint", "single"), ("qutrit", "single"), ("qubit", "single")]
+        if n % 2:
+            layouts.append(("ququint", "neighbor"))
+        for method, variant in layouts:
+            for target in (None, 0):
+                yield pytest.param(
+                    n, method, variant, target, id=f"{method}-{variant}-n{n}-{target}"
+                )
+
+
+@pytest.mark.parametrize("n,method,variant,target", _simulate_layouts())
+def test_shots_draw_what_the_full_table_drew(n, method, variant, target):
+    """``simulate --shots`` draws over the bitstrings its rows reach, then
+    ``leakage``. The histograms equal those of one draw over every
+    bitstring then ``leakage``, the table it drew from before, for four
+    random inputs and two random states over the whole register, seeds
+    0..19."""
+    result = decompose_cnz(DecompositionRequest(n, method, variant, target))
+    document = CircuitDocument(result.circuit, result.embedding, target)
+    register, emap = result.circuit.register, result.embedding
+    rng = np.random.default_rng(n)
+    starts = [(emap.encode(rng.integers(0, 2, n)).reshape(1), np.ones(1)) for _ in range(4)]
+    for _ in range(2):
+        amps = rng.normal(size=register.size) + 1j * rng.normal(size=register.size)
+        starts.append((np.arange(register.size), amps / np.linalg.norm(amps)))
+    plan = _plan(register, result.circuit.gates)
+    for rows in starts:
+        keys, amps = _propagate_sparse(register, plan, *rows)
+        outcomes, probs = _outcome_table(document, keys, amps)
+        full = _read_out_rows(keys, np.abs(amps) ** 2, emap)
+        every = sorted(full.probabilities) + ["leakage"]
+        weights = [full.probabilities[o] for o in every[:-1]] + [full.leakage]
+        for seed in range(20):
+            live = _sample_counts(probs, seed, 1000)
+            drawn = _sample_counts(weights, seed, 1000)
+            assert {o: c for o, c in zip(outcomes, live) if c} == {
+                o: c for o, c in zip(every, drawn) if c
+            }
+
+
 def cz_document(phase: str) -> str:
     return (
         '{"version": 1, "dims": [2, 2], "gates": [{"cz": {"siteA": 0, "siteB": 1, '
@@ -534,6 +582,18 @@ class TestCount:
 
 
 class TestParser:
+    def test_parser_is_built_once_per_process(self, capsys, monkeypatch):
+        calls = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or build())
+        cli._parser.cache_clear()
+        try:
+            for _ in range(3):
+                assert run_cli(capsys, "count", "--n-range", "2..3")[0] == 0
+        finally:
+            cli._parser.cache_clear()
+        assert calls == [1]
+
     def test_unknown_command(self):
         with pytest.raises(SystemExit) as err:
             main(["transmogrify"])

@@ -31,7 +31,14 @@ from ququint import (
     verify_decomposition,
 )
 from ququint import core
-from ququint.decompose import _MAX_SWEEP_N, METHODS, T_GATE, _fuse, _propagate_basis, to_cnx
+from ququint.decompose import (
+    _MAX_SWEEP_N,
+    METHODS,
+    T_GATE,
+    _plan,
+    _propagate_basis,
+    to_cnx,
+)
 
 
 def controlled_swap_matrix(register, ctl, tgt, i, k, level_l):
@@ -585,6 +592,13 @@ class TestLevelSwaps:
         assert report.max_amplitude_error == 0.0
         assert report.max_leakage == 0.0
 
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_qubit_phase_ladders_verify_exactly(self, n):
+        # each Toffoli block is one window: a permutation with phases 1
+        report = verify_decomposition(decompose_cnz_qubit(n))
+        assert report.max_amplitude_error == 0.0
+        assert report.max_leakage == 0.0
+
     @pytest.mark.parametrize(
         "order", [lambda r: r, with_cz_sites_swapped], ids=["as-built", "sites-swapped"]
     )
@@ -594,15 +608,20 @@ class TestLevelSwaps:
         assert merges == []
 
     def test_fused_qubit_ladder_merges_once_per_mixing_gate(self, merges):
-        # fusion merges every CNOT's H into its neighbours, so no triple is
-        # left and every mixing gate takes the merge path (16 inputs, one block)
-        result = decompose_cnz_qubit(4)
+        # every Toffoli block runs as one move; the inversion keeps its
+        # target's two H's as mixing gates, and only they take the merge
+        # path (16 inputs, one block)
+        result = decompose_cnz(DecompositionRequest(4, "qubit", target_qubit=3))
         mixing = [
-            g for g in _fuse(result.circuit.gates)
+            g for g in _plan(result.circuit.register, result.circuit.gates)
             if isinstance(g, LevelPairGate) and (g.u.beta != 0 or g.u.gamma != 0)
         ]
-        assert verify_decomposition(result).passed()
-        assert len(merges) == len(mixing) > 0
+        assert verify_decomposition(result, target_qubit=3).passed()
+        assert len(merges) == len(mixing) == 2
+
+    def test_qubit_phase_ladder_needs_no_merge(self, merges):
+        assert verify_decomposition(decompose_cnz_qubit(4)).passed()
+        assert merges == []
 
 
 def cross_check_cases():

@@ -239,10 +239,12 @@ class TestMethodAgnosticism:
     @pytest.mark.parametrize("n", range(2, 11))
     def test_swap_ladders_are_exact(self, n):
         # the qutrit and ququint ladders are controlled level swaps around a
-        # phase: run as moves of keys, they add no rounding to the search
+        # phase, the qubit ladder Toffoli blocks around one: run as moves of
+        # keys, they add no rounding to the search
         omega = ("10" * n)[:n]
         reference = run_grover(GroverSpec(n, omega, "reference")).distribution
         for method, variant in [
+            ("qubit", "single"),
             ("qutrit", "single"),
             ("ququint", "single"),
             ("ququint", "neighbor"),

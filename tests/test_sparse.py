@@ -1,5 +1,6 @@
 """Property tests on random mixed-radix circuits: the sparse basis
-propagator, the dense stride applier and the Kronecker matrices agree,
+propagator (gate by gate, and through a plan of monomial windows run as
+moves of keys), the dense stride applier and the Kronecker matrices agree,
 same-site fusion keeps the unitary, ``simulate`` prints what the dense route
 reads out, and documents round-trip byte for byte."""
 
@@ -7,10 +8,12 @@ import cmath
 import contextlib
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -18,6 +21,8 @@ from ququint import (
     HADAMARD,
     PAULI_X,
     CircuitDocument,
+    DecompositionRequest,
+    DecompositionResult,
     EmbeddingMap,
     LevelPairGate,
     QuditCircuit,
@@ -27,15 +32,19 @@ from ququint import (
     TwoLevelUnitary,
     TwoQuditCZ,
     apply_circuit,
+    build_cx,
     circuit_unitary,
+    decompose_cnz,
     embed_basis_state,
     load_document,
+    phase_shift,
     read_out,
     save_document,
+    verify_decomposition,
 )
 from ququint.cli import main
 from ququint.core import STATE_TOL, _propagate_sparse
-from ququint.decompose import _propagate_basis
+from ququint.decompose import T_DAGGER, T_GATE, _plan, _propagate_basis, _toffoli_network
 from ququint.grover import _fuse
 
 angles = st.floats(0, 2 * np.pi)
@@ -88,16 +97,67 @@ def swap_triples(draw, dims):
     return spread + [h, cz, second]
 
 
+def off_hadamard(gate, angle=1e-9):
+    """``gate`` with its Hadamard turned ``angle`` rad away."""
+    c, s = math.cos(math.pi / 4 + angle), math.sin(math.pi / 4 + angle)
+    return LevelPairGate(gate.site, gate.i, gate.j, TwoLevelUnitary(c, s, s, -c))
+
+
+@st.composite
+def windows(draw, dims):
+    """Gates on at most three sites that only permute basis states: a
+    Toffoli network (on levels 0 and 1 of sites of any dimension), or two
+    controlled level swaps of one target pair around a diagonal gate. Or a
+    near miss, whose window must not run as a move: one T of the network
+    made S, a controlled phase of i, or one Hadamard off by 1e-9."""
+    sites = draw(st.permutations(range(len(dims))))
+    if len(dims) >= 3 and draw(st.booleans()):
+        gates = _toffoli_network(*sites[:3])
+    else:
+        control, target = sites[:2]
+        k, level_l = draw(level_pairs(dims[target]))
+        levels = st.integers(0, dims[control] - 1)
+        a, b = cmath.exp(1j * draw(angles)), cmath.exp(1j * draw(angles))
+        middle = draw(st.sampled_from([
+            LevelPairGate(target, k, level_l, TwoLevelUnitary(a, 0, 0, b)),
+            TwoQuditCZ(control, target, draw(levels), draw(st.integers(0, dims[target] - 1)), a),
+        ]))
+        gates = (
+            build_cx(control, target, draw(levels), k, level_l)
+            + [middle]
+            + build_cx(control, target, draw(levels), k, level_l)
+        )
+    miss = draw(st.sampled_from([None, "t-to-s", "phase-i", "off-by-1e-9"]))
+    kinds = {
+        "t-to-s": lambda g: isinstance(g, LevelPairGate) and g.u in (T_GATE, T_DAGGER),
+        "phase-i": lambda g: isinstance(g, TwoQuditCZ),
+        "off-by-1e-9": lambda g: isinstance(g, LevelPairGate) and g.u == HADAMARD,
+    }
+    spots = [i for i, g in enumerate(gates) if miss and kinds[miss](g)]
+    if spots:
+        i = draw(st.sampled_from(spots))
+        g = gates[i]
+        if miss == "t-to-s":
+            gates[i] = LevelPairGate(g.site, g.i, g.j, phase_shift(math.pi / 2))
+        elif miss == "phase-i":
+            gates[i] = TwoQuditCZ(g.site_a, g.site_b, g.i, g.j, 1j)
+        else:
+            gates[i] = off_hadamard(g)
+    return gates
+
+
 @st.composite
 def circuits(draw):
     dims = draw(st.lists(st.integers(2, 5), min_size=2, max_size=4))
     sites = st.integers(0, len(dims) - 1)
     gates = []
     for _ in range(draw(st.integers(0, 12))):
-        kind = draw(st.sampled_from(["pair", "run", "cz", "swap"]))
+        kind = draw(st.sampled_from(["pair", "run", "cz", "swap", "window"]))
         pairs = [g for g in gates if isinstance(g, LevelPairGate)]
         if kind == "swap":
             gates += draw(swap_triples(dims))
+        elif kind == "window":
+            gates += draw(windows(dims))
         elif kind == "run" and pairs:
             # the levels of the last level-pair gate again: a same-site run
             last = pairs[-1]
@@ -167,6 +227,15 @@ def test_fused_sparse_propagation_matches_dense(circuit):
     # the exhaustive verifier's route: fuse same-site runs once, then
     # propagate every input through the fused gates
     batched = batched_columns(circuit.register, _fuse(circuit.gates))
+    assert np.max(np.abs(batched - dense_columns(circuit))) < STATE_TOL
+
+
+@given(circuits())
+def test_planned_sparse_propagation_matches_dense(circuit):
+    # the route of verify, simulate and Grover: monomial windows as moves,
+    # the other gates fused, every input through the plan
+    plan = _plan(circuit.register, circuit.gates)
+    batched = batched_columns(circuit.register, plan)
     assert np.max(np.abs(batched - dense_columns(circuit))) < STATE_TOL
 
 
@@ -241,3 +310,27 @@ def test_simulate_prints_the_dense_read_out(circuit, embedded, data):
         printed = printed_probs(CircuitDocument(circuit, emap), source)
         assert printed.keys() == expected.keys()
         assert all(abs(printed[o] - p) <= 1e-12 for o, p in expected.items())
+
+
+@pytest.mark.parametrize("angle", [1e-9, 5e-13])
+def test_hadamard_off_by_an_angle_is_not_snapped_away(angle):
+    """A Toffoli block with one Hadamard turned 1e-9 rad (above MATRIX_TOL)
+    or 5e-13 rad (below it) is no move: its gates run one by one, and
+    ``verify`` reports the error and leakage the Kronecker matrices give."""
+    result = decompose_cnz(DecompositionRequest(3, "qubit"))
+    emap, register = result.embedding, result.circuit.register
+    gates = list(result.circuit.gates)
+    gates[0] = off_hadamard(gates[0], angle)  # on the work site, first block
+    report = verify_decomposition(
+        DecompositionResult(QuditCircuit(register, gates), emap, 13, 1)
+    )
+    bits = [[x >> (2 - q) & 1 for q in range(3)] for x in range(8)]
+    columns = circuit_unitary(QuditCircuit(register, gates))[:, emap.encode(bits)]
+    wanted = np.zeros_like(columns)
+    wanted[emap.encode(bits), range(8)] = [1] * 7 + [-1]
+    off = ~emap.decode(np.arange(register.size))[1]
+    error = np.abs(columns - wanted).max()
+    assert error > angle / 2
+    assert report.max_amplitude_error == pytest.approx(error, abs=1e-15)
+    assert report.max_leakage == pytest.approx((np.abs(columns[off]) ** 2).sum(axis=0).max(), abs=1e-24)
+    assert report.passed() == (angle < STATE_TOL)
