@@ -16,11 +16,31 @@ else
   trap 'rm -rf "$tmp"' EXIT
 fi
 
+# Every report must read leakage 0 and the success probability of the
+# reference backend's search for the same omega.
 large_search() {
   for method in reference qubit qutrit ququint; do
-    timeout 60 python -m ququint grover --n 14 --method "$method" --omega 10101010101010 --report json > /dev/null
+    timeout 60 python -m ququint grover --n 14 --method "$method" --omega 10101010101010 --report json > "$tmp/n14-$method.json"
   done
-  timeout 60 python -m ququint grover --n 13 --method ququint --odd-variant neighbor --omega 1010101010101 --report json > /dev/null
+  timeout 60 python -m ququint grover --n 13 --method reference --omega 1010101010101 --report json > "$tmp/n13-reference.json"
+  timeout 60 python -m ququint grover --n 13 --method ququint --odd-variant neighbor --omega 1010101010101 --report json > "$tmp/n13-ququint.json"
+  python - "$tmp" <<'PY'
+import json
+import sys
+from pathlib import Path
+
+tmp = Path(sys.argv[1])
+for n, methods in ((14, ("qubit", "qutrit", "ququint")), (13, ("ququint",))):
+    reference = json.loads((tmp / f"n{n}-reference.json").read_text())
+    for method in ("reference",) + methods:
+        report = json.loads((tmp / f"n{n}-{method}.json").read_text())
+        if report["leakage"] != 0 or report["successProbability"] != reference["successProbability"]:
+            sys.exit(
+                f"n={n} {method}: leakage {report['leakage']}, success probability "
+                f"{report['successProbability']}, reference {reference['successProbability']}"
+            )
+    print(f"n={n}: {', '.join(methods)} match the reference with zero leakage")
+PY
 }
 
 verify() {

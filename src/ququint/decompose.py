@@ -458,9 +458,9 @@ def _monomial_prefix(dims: tuple[int, ...], key: tuple) -> tuple:
     identity permutation), and the phase each column takes there, snapped
     to the nearest of 1, -1, i, -i within ``_SNAP`` (None if all are 1).
 
-    The unitary is built as ``grover._factor`` builds its factors: each gate
-    runs through the stride kernel on the row digits of an identity matrix
-    (at most 125 x 125, never register-sized)."""
+    The unitary is built by running each gate through the stride kernel on
+    the row digits of an identity matrix (at most 125 x 125, never
+    register-sized)."""
     size = math.prod(dims)
     columns = np.arange(size)
     m = np.eye(size, dtype=np.complex128)

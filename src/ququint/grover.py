@@ -19,6 +19,7 @@ only the register shape and the gate count differ.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -29,10 +30,8 @@ from .core import (
     PAULI_X,
     STATE_TOL,
     DimensionTooLargeError,
-    LevelPairGate,
     QuditGate,
     QuditRegister,
-    _apply_gate_inplace,
     _merge_pairs,
     _propagate_sparse,
 )
@@ -41,8 +40,8 @@ from .decompose import (
     METHODS,
     DecompositionRequest,
     _basis_rows,
-    _fuse,
     _plan,
+    _Product,
     decompose_cnz,
 )
 from .embedding import (
@@ -50,6 +49,7 @@ from .embedding import (
     EmbeddingMap,
     QubitReadout,
     QubitSlot,
+    _bit_labels,
     _counting_bits,
     _parse_bits,
     _read_out_rows,
@@ -62,9 +62,9 @@ BACKENDS = ("reference",) + METHODS
 Step = tuple
 
 # The one-qubit steps between two multi-controlled Zs: the Kronecker factors
-# A and B^T of their action on the 2^n vector, and the same steps lifted onto
-# the register for the rest table.
-Layer = tuple[np.ndarray, np.ndarray, list[LevelPairGate]]
+# A and B^T of their action on the 2^n vector, and the (n, 2, 2) stack of
+# per-qubit products they are built from, which the rest table lifts.
+Layer = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def auto_iterations(n: int) -> int:
@@ -170,9 +170,11 @@ class GroverReport:
     distribution: dict[str, float]
 
 
+@functools.lru_cache(maxsize=8)
 def _prepare_backend(n: int, method: str, odd_variant: str):
-    """Register, embedding, compiled multi-controlled-Z gates (None for the
-    exact reference), and the per-gate two-particle count."""
+    """Register, embedding, compiled multi-controlled-Z gates as a tuple
+    (None for the exact reference), and the per-gate two-particle count.
+    Built once per backend and size in a process; every part is immutable."""
     if method == "reference":
         register = QuditRegister((2,) * n)
         emap = EmbeddingMap(register, tuple((q, QubitSlot.SINGLE) for q in range(n)))
@@ -181,46 +183,50 @@ def _prepare_backend(n: int, method: str, odd_variant: str):
     return (
         result.circuit.register,
         result.embedding,
-        result.circuit.gates,
+        tuple(result.circuit.gates),
         result.two_particle_gate_count,
     )
 
 
-def _factor(gates: list[LevelPairGate], lo: int, k: int) -> np.ndarray:
-    """The 2^k x 2^k matrix of the gates on qubits lo..lo+k-1: each runs
-    through the stride kernel on the row digits of an identity matrix."""
-    m = np.eye(2**k, dtype=np.complex128)
-    dims = (2,) * k + (2**k,)
-    for gate in gates:
-        if lo <= gate.site < lo + k:
-            _apply_gate_inplace(m, dims, LevelPairGate(gate.site - lo, gate.i, gate.j, gate.u))
+def _layers(steps: list[Step], n: int) -> list[np.ndarray]:
+    """The layers of one-qubit steps between the multi-controlled Zs of a
+    step list, each an (n, 2, 2) stack: the product of qubit q's steps in
+    the layer, in order, at q (the identity where there are none)."""
+    layers, identity = [], (1 + 0j, 0j, 0j, 1 + 0j)
+    entries = [identity] * n
+    for step in steps + [("cnz",)]:
+        if step[0] == "cnz":
+            layers.append(np.array(entries, dtype=np.complex128).reshape(n, 2, 2))
+            entries = [identity] * n
+            continue
+        _, q, u = step
+        a, b, c, d = entries[q]  # u after (a b / c d)
+        entries[q] = (
+            u.alpha * a + u.beta * c,
+            u.alpha * b + u.beta * d,
+            u.gamma * a + u.delta * c,
+            u.gamma * b + u.delta * d,
+        )
+    return layers
+
+
+def _kron(stack: np.ndarray) -> np.ndarray:
+    """Kronecker product of a stack of square matrices, the first one the
+    most significant, by broadcasting one factor at a time onto the product
+    of those after it (the long axis innermost)."""
+    m = stack[-1]
+    for u in stack[-2::-1]:
+        m = (u[:, None, :, None] * m[None, :, None, :]).reshape(len(u) * len(m), -1)
     return m
 
 
-def _layers(steps: list[Step]) -> list[list[LevelPairGate]]:
-    """The layers of one-qubit steps between the multi-controlled Zs of a
-    step list, the steps on one qubit within a layer fused into one gate."""
-    layers: list[list[LevelPairGate]] = [[]]
-    for step in steps:
-        if step[0] == "cnz":
-            layers.append([])
-        else:
-            _, qubit, u = step
-            layers[-1].append(LevelPairGate(qubit, 0, 1, u))
-    return [_fuse(gates) for gates in layers]
-
-
-def _compile(gates: list[LevelPairGate], emap: EmbeddingMap) -> Layer:
-    """A layer's action, once per search. On the 2^n vector the layer is a
-    tensor product of one 2x2 unitary per qubit, so it splits into two dense
-    factors, A on qubits 0..h-1 and B on qubits h..n-1 (h = n // 2): it sends
-    the vector, viewed as a 2^h x 2^(n-h) matrix V, to A V B^T. On the
-    register each gate lifts as a whole: a lift maps a product to the
-    product of the lifts."""
-    n = emap.qubit_count
-    h = n // 2
-    lifted = [g for gate in gates for g in lift_single_qubit_gate(gate.u, gate.site, emap)]
-    return _factor(gates, 0, h), _factor(gates, h, n - h).T, lifted
+def _compile(stack: np.ndarray) -> Layer:
+    """A layer's action on the 2^n vector. It is a tensor product of one 2x2
+    unitary per qubit, so it splits into two dense factors, A on qubits
+    0..h-1 and B on qubits h..n-1 (h = n // 2): it sends the vector, viewed
+    as a 2^h x 2^(n-h) matrix V, to A V B^T."""
+    h = len(stack) // 2
+    return _kron(stack[:h]), _kron(stack[h:]).T, stack
 
 
 def _row_sums(
@@ -236,6 +242,58 @@ def _row_sums(
     return out
 
 
+def _locate(
+    emap: EmbeddingMap, view: np.ndarray, index: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Vector entry of each flat register index, and whether it is in the
+    view (computational, bystanders at 0)."""
+    outcome, computational = emap.decode(index)
+    return outcome, computational & (view[outcome] == index)
+
+
+@functools.lru_cache(maxsize=8)
+def _ladder_action(emap: EmbeddingMap, ladder: tuple[QuditGate, ...] | None) -> tuple:
+    """What a search derives from its embedding and ladder, memoised by
+    their content, so an edited ladder never reads another's entry:
+
+    - the ladder's plan (None for the reference);
+    - the view indices;
+    - the ladder's rows into the view, ``(bins, src, coefs)`` for
+      :func:`_row_sums`, or ``(None, perm, phase)`` when the action is
+      monomial (one row per view index, each to a distinct view entry, none
+      off the view): then bin k's one row reads ``perm[k]``;
+    - the sorted keys off the view that rows land on, and those rows.
+
+    The arrays are shared between searches, so they are read-only."""
+    n = emap.qubit_count
+    view = emap.encode(_counting_bits(n))
+    if ladder is None:  # the reference's exact sign flip on |1...1>
+        plan, src, index = None, np.arange(2**n), view
+        amps = np.ones(2**n, dtype=np.complex128)
+        amps[-1] = -1.0
+    else:
+        plan = _plan(emap.register, list(ladder))
+        src, index, amps = _basis_rows(emap.register, plan, view)
+    dst, inside = _locate(emap, view, index)
+    # off the view: each key once, sorted, and the bin of every row
+    leak_keys, bins = np.unique(index[~inside], return_inverse=True)
+    leak = bins, src[~inside], amps[~inside]
+    if (
+        inside.all()
+        and np.array_equal(src, np.arange(2**n))
+        and np.bincount(dst, minlength=2**n).max() == 1
+    ):
+        perm, phase = np.empty_like(src), np.empty_like(amps)
+        perm[dst], phase[dst] = src, amps
+        gather = None, perm, phase
+    else:
+        gather = dst[inside], src[inside], amps[inside]
+    for array in (view, leak_keys, *leak, *gather):
+        if array is not None:
+            array.flags.writeable = False
+    return plan, view, gather, leak_keys, leak
+
+
 class _SearchState:
     """A search's state as a 2^n vector over the view plus a rest table.
 
@@ -249,63 +307,58 @@ class _SearchState:
 
     A layer of one-qubit steps is two small matrix products on the vector,
     A V B^T with V its 2^h x 2^(n-h) view and A, B the layer's factors on the
-    high and low qubits, built once per search by :func:`_compile`. The
-    rest table takes the lifted gates one by one, so its rows stay exact.
+    high and low qubits, Kronecker products of its per-qubit 2x2 unitaries
+    (:func:`_compile`). Only when the rest table holds rows are those
+    unitaries lifted onto the register, and the table takes them one by
+    one, so its rows stay exact.
 
-    The ladder is planned once (``decompose._plan``: its monomial windows
-    as moves of keys, the rest fused), and its action on the view is
-    computed once: each view index is pushed through it as its own
-    amplitude-1 basis input (the verifier's batched table), so by linearity
-    one application is a gather-add on the vector plus the rows it sends off
-    the view. The rest table goes through the same plan. Every compiled
-    phase ladder is moves only, so each view index maps to +-itself
-    exactly and the rest table stays empty.
+    Everything derived from the embedding and the ladder is built once per
+    process (:func:`_ladder_action`). The ladder is planned
+    (``decompose._plan``: its monomial windows as moves of keys, the rest
+    fused), and its action on the view is computed: each view index is
+    pushed through the plan as its own amplitude-1 basis input (the
+    verifier's batched table). By linearity one application is then a fixed
+    set of rows on the vector plus the rows it sends off the view. Every
+    compiled phase ladder, and the reference's sign flip, sends each view
+    index to a distinct view entry with a phase, so its application is one
+    gather-multiply ``phase * old[perm]`` and the rest table stays empty;
+    any other ladder sums its rows with :func:`_row_sums`, and the rest
+    table goes through the same plan.
     """
 
     def __init__(self, emap: EmbeddingMap, ladder: list[QuditGate] | None):
         n = emap.qubit_count
         self.emap = emap
-        self.ladder = None if ladder is None else _plan(emap.register, ladder)
-        self.view = emap.encode(_counting_bits(n))
+        self.ladder, self.view, self.gather, self.leak_keys, self.leak = _ladder_action(
+            emap, None if ladder is None else tuple(ladder)
+        )
         self.vector = np.zeros(2**n, dtype=np.complex128)
         self.vector[0] = 1.0  # |0...0>
         self.rest = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.complex128))
-        # the ladder's rows (view input, register index, amplitude)
-        if ladder is None:  # the reference's exact sign flip on |1...1>
-            src, index = np.arange(2**n), self.view
-            amps = np.ones(2**n, dtype=np.complex128)
-            amps[-1] = -1.0
-        else:
-            src, index, amps = _basis_rows(emap.register, self.ladder, self.view)
-        dst, inside = self._locate(index)
-        self.gather = dst[inside], src[inside], amps[inside]
-        # off the view: each key once, sorted, and the bin of every row
-        self.leak_keys, bins = np.unique(index[~inside], return_inverse=True)
-        self.leak = bins, src[~inside], amps[~inside]
-
-    def _locate(self, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vector entry of each flat register index, and whether it is in
-        the view (computational, bystanders at 0)."""
-        outcome, computational = self.emap.decode(index)
-        return outcome, computational & (self.view[outcome] == index)
 
     def layer(self, layer: Layer) -> None:
         """One layer of one-qubit steps: A V B^T on the vector viewed as a
-        2^h x 2^(n-h) matrix V, the lifted gates on the rest table."""
-        a, bt, lifted = layer
+        2^h x 2^(n-h) matrix V, the lifted unitaries on the rest table."""
+        a, bt, stack = layer
         self.vector = (a @ self.vector.reshape(len(a), len(bt)) @ bt).ravel()
         if len(self.rest[0]):
+            lifted = [
+                gate
+                for q, u in enumerate(stack)
+                for gate in lift_single_qubit_gate(_Product(*u.ravel().tolist()), q, self.emap)
+            ]
             self.rest = _propagate_sparse(self.emap.register, lifted, *self.rest)
 
     def apply_ladder(self) -> float:
         """One multi-controlled Z; returns the probability then held off the
         computational levels."""
         old = self.vector
-        new = _row_sums(old, *self.gather, len(old))
+        bins, src, coefs = self.gather
+        new = coefs * old[src] if bins is None else _row_sums(old, bins, src, coefs, len(old))
         keys, amps = self.rest
         if len(keys):
             keys, amps = _propagate_sparse(self.emap.register, self.ladder, keys, amps)
-            dst, inside = self._locate(keys)
+            dst, inside = _locate(self.emap, self.view, keys)
             new[dst[inside]] += amps[inside]  # one row per view index
             keys, amps = keys[~inside], amps[~inside]
         if len(self.leak_keys):
@@ -322,9 +375,13 @@ class _SearchState:
 
     def read_out(self) -> QubitReadout:
         keys, amps = self.rest
+        probs = np.abs(self.vector) ** 2
+        if not len(keys):  # view entry x is bitstring x, on computational levels
+            labels = _bit_labels(self.emap.qubit_count)
+            return QubitReadout(dict(zip(labels, probs.tolist())), 0.0)
         return _read_out_rows(
             np.concatenate((self.view, keys)),
-            np.concatenate((np.abs(self.vector) ** 2, np.abs(amps) ** 2)),
+            np.concatenate((probs, np.abs(amps) ** 2)),
             self.emap,
         )
 
@@ -339,8 +396,8 @@ def _search(
     iteration = build_oracle(omega, n) + build_diffusion(n)
     # the layers around the two Zs of an iteration, with the one-qubit steps
     # of consecutive iterations joined: first, mid, wrap, mid, last
-    layers = _layers([("u", q, HADAMARD) for q in range(n)] + iteration * 2)
-    first, mid, wrap, last = (_compile(layers[i], emap) for i in (0, 1, 2, 4))
+    layers = _layers([("u", q, HADAMARD) for q in range(n)] + iteration * 2, n)
+    first, mid, wrap, last = (_compile(layers[i]) for i in (0, 1, 2, 4))
     state = _SearchState(emap, ladder)
     state.layer(first)
     first_leak = None
@@ -355,9 +412,10 @@ def _search(
 def run_grover(spec: GroverSpec) -> GroverReport:
     """Simulate a full search run and report the exact outcome distribution.
 
-    The compiled ladder's action on the 2^n embedded basis states is
-    computed once per search; every iteration then runs on a 2^n vector
-    plus a table of the rows a faulty ladder leaves off it.
+    The backend's ladder is compiled, and its action on the 2^n embedded
+    basis states computed, once per process; a search pays for its layers
+    and iterations, which run on a 2^n vector plus a table of the rows a
+    faulty ladder leaves off it.
 
     Raises:
         RuntimeError: Probability escaped the computational levels (this

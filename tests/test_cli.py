@@ -1,4 +1,5 @@
 import json
+import sys
 import time
 
 import numpy as np
@@ -17,10 +18,10 @@ from ququint import (
     load_document,
     save_document,
 )
-from ququint import cli
+from ququint import cli, core, decompose
 from ququint.cli import _outcome_table, main
 from ququint.core import _propagate_sparse, _sample_counts
-from ququint.decompose import _plan
+from ququint.decompose import _WINDOW_SIZE, _plan
 from ququint.embedding import _read_out_rows
 
 
@@ -319,19 +320,41 @@ class TestSimulate:
     @pytest.mark.parametrize("mode", ["input-probs", "input-shots", "state-probs"])
     @pytest.mark.parametrize("kind", ["ququint", "qutrit", "qubit", "raw"])
     def test_runs_without_a_dense_register(self, tmp_path, capsys, monkeypatch, kind, mode):
-        """``simulate`` starts from rows, not a register-sized vector, and
-        never runs the dense stride kernel."""
+        """``simulate`` starts from rows, not a register-sized vector. Every
+        module that binds the stride kernel gets a guard that refuses a call
+        on the document register's own dims; the only calls it lets through
+        are ``_monomial_prefix``'s window builds, a square matrix of at most
+        ``_WINDOW_SIZE`` columns as the last axis (their cache is cleared
+        first, so they run)."""
         case = self._raw_case() if kind == "raw" else self._embedded_case(kind)
         document, amps, bits, from_input, from_state = case
         doc, state = tmp_path / "doc.json", tmp_path / "state.json"
         doc.write_text(save_document(document))
         state.write_text(json.dumps({"amplitudes": [[a.real, a.imag] for a in amps.tolist()]}))
+        kernel = core._apply_gate_inplace
+        register_dims, local_builds = document.circuit.register.dims, []
+
+        def local_only(arr, dims, gate):
+            size = dims[-1]
+            if tuple(dims) == register_dims or size > _WINDOW_SIZE or arr.shape != (size, size):
+                raise AssertionError(f"simulate ran the stride kernel on dims {dims}")
+            local_builds.append(dims)
+            kernel(arr, dims, gate)
 
         def refuse(*args, **kwargs):
             raise AssertionError("simulate used a dense register")
 
-        monkeypatch.setattr("ququint.core._apply_gate_inplace", refuse)
+        binders = [
+            module
+            for name, module in sorted(sys.modules.items())
+            if name.split(".")[0] == "ququint"
+            and getattr(module, "_apply_gate_inplace", None) is kernel
+        ]
+        assert {core, decompose} <= set(binders)
+        for module in binders:
+            monkeypatch.setattr(module, "_apply_gate_inplace", local_only)
         monkeypatch.setattr(StateVector, "basis_state", classmethod(refuse))
+        decompose._monomial_prefix.cache_clear()
         if mode == "input-shots":
             code, stdout, _ = run_cli(
                 capsys, "simulate", str(doc), "--input", bits, "--shots", "1000", "--seed", "2"
@@ -340,6 +363,7 @@ class TestSimulate:
             counts = np.random.default_rng(2).multinomial(1000, [from_input[o] for o in outcomes])
             rows = "".join(f"{o},{c}\n" for o, c in zip(outcomes, counts) if c)
             assert (code, stdout) == (0, "outcome,count\n" + rows)
+            assert local_builds  # the guard saw the window builds
             return
         source = ["--input", bits] if mode == "input-probs" else ["--state", str(state)]
         code, stdout, _ = run_cli(capsys, "simulate", str(doc), *source, "--probs")
@@ -350,6 +374,7 @@ class TestSimulate:
         assert list(printed) == list(expected)
         for outcome, prob in expected.items():
             assert abs(float(printed[outcome]) - prob) <= 1e-12
+        assert local_builds
 
 
 def _simulate_layouts():

@@ -23,7 +23,7 @@ from ququint import (
 )
 from ququint import grover
 from ququint.core import STATE_TOL, _apply_gate_inplace
-from ququint.decompose import _MAX_SWEEP_N, METHODS
+from ququint.decompose import _MAX_SWEEP_N, METHODS, _fuse
 from ququint.embedding import ODD_VARIANTS, lift_single_qubit_gate, read_out
 from ququint.grover import BACKENDS, build_diffusion, build_oracle
 
@@ -350,7 +350,7 @@ class TestEngines:
 
     def test_fused_qubit_ladder_keeps_its_unitary(self):
         circuit = decompose_cnz(DecompositionRequest(4, "qubit")).circuit
-        fused = QuditCircuit(circuit.register, grover._fuse(circuit.gates))
+        fused = QuditCircuit(circuit.register, _fuse(circuit.gates))
         assert len(fused) < len(circuit)
         assert np.abs(circuit_unitary(fused) - circuit_unitary(circuit)).max() <= STATE_TOL
 
@@ -428,9 +428,10 @@ def test_appended_level_pair_gate_matches_full_register(method, n, data):
 
 @given(st.integers(2, 12), st.data())
 def test_layer_factors_match_the_sequential_kernel(n, data):
-    """A layer's A V B^T equals its fused gates run one by one through the
-    stride kernel, for one-qubit unitaries on no qubit, one, all or any
-    multiset of them, at odd n with uneven factors too."""
+    """A layer's A V B^T, built from its (n, 2, 2) stack of per-qubit
+    products, equals its steps run one by one through the stride kernel, for
+    one-qubit unitaries on no qubit, one, all or any multiset of them, at
+    odd n with uneven factors too."""
     qubits = data.draw(st.one_of(
         st.just([]),
         st.integers(0, n - 1).map(lambda q: [q]),
@@ -439,15 +440,92 @@ def test_layer_factors_match_the_sequential_kernel(n, data):
     ))
     steps = [("u", q, data.draw(two_level_unitaries())) for q in qubits]
     emap = grover._prepare_backend(n, "reference", "single")[1]
-    (gates,) = grover._layers(steps)
-    layer = grover._compile(gates, emap)
+    (stack,) = grover._layers(steps, n)
+    layer = grover._compile(stack)
     rng = np.random.default_rng(n)
     vector = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
     vector /= np.linalg.norm(vector)
     expect = vector.copy()
-    for gate in gates:
-        _apply_gate_inplace(expect, (2,) * n, gate)
+    for _, q, u in steps:
+        _apply_gate_inplace(expect, (2,) * n, LevelPairGate(q, 0, 1, u))
     state = grover._SearchState(emap, None)
     state.vector = vector
     state.layer(layer)
     assert np.abs(state.vector - expect).max() <= STATE_TOL
+
+
+def _compiled_layouts(n):
+    yield from (("qubit", "single"), ("qutrit", "single"), ("ququint", "single"))
+    if n % 2:
+        yield "ququint", "neighbor"
+
+
+class TestSetupCache:
+    def test_clean_search_leaves_no_stale_entry_for_a_leaking_ladder(self, monkeypatch):
+        # the set-up is memoised by the ladder's content, so the same n and
+        # method with a leaking ladder must not reuse the clean entry
+        run_grover(GroverSpec(4, "1111", "qubit"))
+        register, emap, gates, count = grover._prepare_backend(4, "qubit", "single")
+        leaking = list(gates) + [LevelPairGate(emap.work_sites[0], 0, 1, HADAMARD)]
+        monkeypatch.setattr(
+            grover, "_prepare_backend", lambda *_: (register, emap, leaking, count)
+        )
+        with pytest.raises(RuntimeError, match=r"\(first above STATE_TOL in iteration 1\)"):
+            run_grover(GroverSpec(4, "1111", "qubit"))
+
+    def test_prepared_ladders_are_shared_tuples(self):
+        first = grover._prepare_backend(6, "qutrit", "single")
+        assert grover._prepare_backend(6, "qutrit", "single") is first
+        assert isinstance(first[2], tuple)
+
+    @pytest.mark.parametrize("method", BACKENDS)
+    def test_cached_arrays_reject_writes(self, method):
+        _, emap, ladder, _ = grover._prepare_backend(5, method, "single")
+        state = grover._SearchState(emap, ladder)
+        arrays = [state.view, state.leak_keys, *state.leak]
+        arrays += [a for a in state.gather if a is not None]
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[:1] = 0
+        # a search writes only its own vector
+        state.apply_ladder()
+        state.vector[0] = 1.0
+
+
+class TestLadderStep:
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_compiled_ladders_and_the_reference_are_one_gather(self, n, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a monomial ladder summed rows")
+
+        monkeypatch.setattr(grover, "_row_sums", refuse)
+        for method, variant in [("reference", "single")] + list(_compiled_layouts(n)):
+            _, emap, ladder, _ = grover._prepare_backend(n, method, variant)
+            state = grover._SearchState(emap, ladder)
+            bins, perm, phase = state.gather
+            assert bins is None and len(state.leak_keys) == 0, (method, variant)
+            assert np.array_equal(np.sort(perm), np.arange(2**n))
+            assert np.array_equal(np.abs(phase), np.ones(2**n))
+            # the full-register run costs register size times ladder length
+            if emap.register.size <= 2**15:
+                full, engine = _both_engines(n, method, variant=variant, omega=("10" * n)[:n])
+                _assert_same_readout(full, engine)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_mixing_ladder_sums_rows(self, method, monkeypatch):
+        # a Hadamard on levels (0, 1) of site 0 after the ladder: it mixes
+        # computational levels, so the action is two rows per view index
+        n, calls, row_sums = 4, [], grover._row_sums
+
+        def counted(*args):
+            calls.append(args[-1])
+            return row_sums(*args)
+
+        monkeypatch.setattr(grover, "_row_sums", counted)
+        mixing = LevelPairGate(0, 0, 1, HADAMARD)
+        _, emap, ladder, _ = grover._prepare_backend(n, method, "single")
+        state = grover._SearchState(emap, list(ladder) + [mixing])
+        assert state.gather[0] is not None
+        full, engine = _both_engines(n, method, lambda gates: list(gates) + [mixing], k=2)
+        assert calls and set(calls) == {2**n}
+        _assert_same_readout(full, engine)

@@ -45,7 +45,7 @@ from ququint import (
 from ququint.cli import main
 from ququint.core import STATE_TOL, _propagate_sparse
 from ququint.decompose import T_DAGGER, T_GATE, _plan, _propagate_basis, _toffoli_network
-from ququint.grover import _fuse
+from ququint.decompose import _fuse
 
 angles = st.floats(0, 2 * np.pi)
 
