@@ -19,7 +19,6 @@ only the register shape and the gate count differ.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -170,11 +169,9 @@ class GroverReport:
     distribution: dict[str, float]
 
 
-@functools.lru_cache(maxsize=8)
 def _prepare_backend(n: int, method: str, odd_variant: str):
-    """Register, embedding, compiled multi-controlled-Z gates as a tuple
-    (None for the exact reference), and the per-gate two-particle count.
-    Built once per backend and size in a process; every part is immutable."""
+    """Register, embedding, compiled multi-controlled-Z gates (None for the
+    exact reference), and the per-gate two-particle count."""
     if method == "reference":
         register = QuditRegister((2,) * n)
         emap = EmbeddingMap(register, tuple((q, QubitSlot.SINGLE) for q in range(n)))
@@ -183,7 +180,7 @@ def _prepare_backend(n: int, method: str, odd_variant: str):
     return (
         result.circuit.register,
         result.embedding,
-        tuple(result.circuit.gates),
+        result.circuit.gates,
         result.two_particle_gate_count,
     )
 
@@ -242,58 +239,6 @@ def _row_sums(
     return out
 
 
-def _locate(
-    emap: EmbeddingMap, view: np.ndarray, index: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vector entry of each flat register index, and whether it is in the
-    view (computational, bystanders at 0)."""
-    outcome, computational = emap.decode(index)
-    return outcome, computational & (view[outcome] == index)
-
-
-@functools.lru_cache(maxsize=8)
-def _ladder_action(emap: EmbeddingMap, ladder: tuple[QuditGate, ...] | None) -> tuple:
-    """What a search derives from its embedding and ladder, memoised by
-    their content, so an edited ladder never reads another's entry:
-
-    - the ladder's plan (None for the reference);
-    - the view indices;
-    - the ladder's rows into the view, ``(bins, src, coefs)`` for
-      :func:`_row_sums`, or ``(None, perm, phase)`` when the action is
-      monomial (one row per view index, each to a distinct view entry, none
-      off the view): then bin k's one row reads ``perm[k]``;
-    - the sorted keys off the view that rows land on, and those rows.
-
-    The arrays are shared between searches, so they are read-only."""
-    n = emap.qubit_count
-    view = emap.encode(_counting_bits(n))
-    if ladder is None:  # the reference's exact sign flip on |1...1>
-        plan, src, index = None, np.arange(2**n), view
-        amps = np.ones(2**n, dtype=np.complex128)
-        amps[-1] = -1.0
-    else:
-        plan = _plan(emap.register, list(ladder))
-        src, index, amps = _basis_rows(emap.register, plan, view)
-    dst, inside = _locate(emap, view, index)
-    # off the view: each key once, sorted, and the bin of every row
-    leak_keys, bins = np.unique(index[~inside], return_inverse=True)
-    leak = bins, src[~inside], amps[~inside]
-    if (
-        inside.all()
-        and np.array_equal(src, np.arange(2**n))
-        and np.bincount(dst, minlength=2**n).max() == 1
-    ):
-        perm, phase = np.empty_like(src), np.empty_like(amps)
-        perm[dst], phase[dst] = src, amps
-        gather = None, perm, phase
-    else:
-        gather = dst[inside], src[inside], amps[inside]
-    for array in (view, leak_keys, *leak, *gather):
-        if array is not None:
-            array.flags.writeable = False
-    return plan, view, gather, leak_keys, leak
-
-
 class _SearchState:
     """A search's state as a 2^n vector over the view plus a rest table.
 
@@ -312,29 +257,56 @@ class _SearchState:
     unitaries lifted onto the register, and the table takes them one by
     one, so its rows stay exact.
 
-    Everything derived from the embedding and the ladder is built once per
-    process (:func:`_ladder_action`). The ladder is planned
-    (``decompose._plan``: its monomial windows as moves of keys, the rest
-    fused), and its action on the view is computed: each view index is
-    pushed through the plan as its own amplitude-1 basis input (the
-    verifier's batched table). By linearity one application is then a fixed
-    set of rows on the vector plus the rows it sends off the view. Every
-    compiled phase ladder, and the reference's sign flip, sends each view
-    index to a distinct view entry with a phase, so its application is one
-    gather-multiply ``phase * old[perm]`` and the rest table stays empty;
-    any other ladder sums its rows with :func:`_row_sums`, and the rest
-    table goes through the same plan.
+    The ladder is planned (``decompose._plan``: its monomial windows as
+    moves of keys, the rest fused), and its action on the view is computed
+    once per search: each view index is pushed through the plan as its own
+    amplitude-1 basis input (the verifier's batched table). By linearity one
+    application is then a fixed set of rows on the vector plus the rows it
+    sends off the view. Every compiled phase ladder, and the reference's
+    sign flip, sends each view index to a distinct view entry with a phase,
+    so its application is one gather-multiply ``phase * old[perm]`` and the
+    rest table stays empty; any other ladder sums its rows with
+    :func:`_row_sums`, and the rest table goes through the same plan.
     """
 
     def __init__(self, emap: EmbeddingMap, ladder: list[QuditGate] | None):
         n = emap.qubit_count
         self.emap = emap
-        self.ladder, self.view, self.gather, self.leak_keys, self.leak = _ladder_action(
-            emap, None if ladder is None else tuple(ladder)
-        )
+        self.view = emap.encode(_counting_bits(n))
+        if ladder is None:  # the reference's exact sign flip on |1...1>
+            self.ladder, src, index = None, np.arange(2**n), self.view
+            amps = np.ones(2**n, dtype=np.complex128)
+            amps[-1] = -1.0
+        else:
+            self.ladder = _plan(emap.register, ladder)
+            src, index, amps = _basis_rows(emap.register, self.ladder, self.view)
+        dst, inside = self._locate(index)
+        # the ladder's rows into the view, ``(bins, src, coefs)`` for
+        # _row_sums, or ``(None, perm, phase)`` when the action is monomial
+        # (one row per view index, each to a distinct view entry, none off
+        # the view): then bin k's one row reads perm[k]
+        if (
+            inside.all()
+            and np.array_equal(src, np.arange(2**n))
+            and np.bincount(dst, minlength=2**n).max() == 1
+        ):
+            perm, phase = np.empty_like(src), np.empty_like(amps)
+            perm[dst], phase[dst] = src, amps
+            self.gather = None, perm, phase
+        else:
+            self.gather = dst[inside], src[inside], amps[inside]
+        # off the view: each key once, sorted, and the bin of every row
+        self.leak_keys, bins = np.unique(index[~inside], return_inverse=True)
+        self.leak = bins, src[~inside], amps[~inside]
         self.vector = np.zeros(2**n, dtype=np.complex128)
         self.vector[0] = 1.0  # |0...0>
         self.rest = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.complex128))
+
+    def _locate(self, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Vector entry of each flat register index, and whether it is in
+        the view (computational, bystanders at 0)."""
+        outcome, computational = self.emap.decode(index)
+        return outcome, computational & (self.view[outcome] == index)
 
     def layer(self, layer: Layer) -> None:
         """One layer of one-qubit steps: A V B^T on the vector viewed as a
@@ -358,7 +330,7 @@ class _SearchState:
         keys, amps = self.rest
         if len(keys):
             keys, amps = _propagate_sparse(self.emap.register, self.ladder, keys, amps)
-            dst, inside = _locate(self.emap, self.view, keys)
+            dst, inside = self._locate(keys)
             new[dst[inside]] += amps[inside]  # one row per view index
             keys, amps = keys[~inside], amps[~inside]
         if len(self.leak_keys):
@@ -412,10 +384,9 @@ def _search(
 def run_grover(spec: GroverSpec) -> GroverReport:
     """Simulate a full search run and report the exact outcome distribution.
 
-    The backend's ladder is compiled, and its action on the 2^n embedded
-    basis states computed, once per process; a search pays for its layers
-    and iterations, which run on a 2^n vector plus a table of the rows a
-    faulty ladder leaves off it.
+    The compiled ladder's action on the 2^n embedded basis states is
+    computed once per search; every iteration then runs on a 2^n vector
+    plus a table of the rows a faulty ladder leaves off it.
 
     Raises:
         RuntimeError: Probability escaped the computational levels (this

@@ -460,10 +460,10 @@ def _compiled_layouts(n):
         yield "ququint", "neighbor"
 
 
-class TestSetupCache:
-    def test_clean_search_leaves_no_stale_entry_for_a_leaking_ladder(self, monkeypatch):
-        # the set-up is memoised by the ladder's content, so the same n and
-        # method with a leaking ladder must not reuse the clean entry
+class TestSetupPerSearch:
+    def test_clean_search_leaves_no_stale_set_up_for_a_leaking_ladder(self, monkeypatch):
+        # each search derives its set-up from the ladder it is given, so the
+        # same n and method with a leaking ladder must not reuse a clean one
         run_grover(GroverSpec(4, "1111", "qubit"))
         register, emap, gates, count = grover._prepare_backend(4, "qubit", "single")
         leaking = list(gates) + [LevelPairGate(emap.work_sites[0], 0, 1, HADAMARD)]
@@ -472,24 +472,6 @@ class TestSetupCache:
         )
         with pytest.raises(RuntimeError, match=r"\(first above STATE_TOL in iteration 1\)"):
             run_grover(GroverSpec(4, "1111", "qubit"))
-
-    def test_prepared_ladders_are_shared_tuples(self):
-        first = grover._prepare_backend(6, "qutrit", "single")
-        assert grover._prepare_backend(6, "qutrit", "single") is first
-        assert isinstance(first[2], tuple)
-
-    @pytest.mark.parametrize("method", BACKENDS)
-    def test_cached_arrays_reject_writes(self, method):
-        _, emap, ladder, _ = grover._prepare_backend(5, method, "single")
-        state = grover._SearchState(emap, ladder)
-        arrays = [state.view, state.leak_keys, *state.leak]
-        arrays += [a for a in state.gather if a is not None]
-        for array in arrays:
-            with pytest.raises(ValueError, match="read-only"):
-                array[:1] = 0
-        # a search writes only its own vector
-        state.apply_ladder()
-        state.vector[0] = 1.0
 
 
 class TestLadderStep:
