@@ -77,8 +77,9 @@ def cmd_verify(args) -> int:
         result = _load_document_file(args.circuit)
         if result.embedding is None:
             raise ValueError("document has no embedding; nothing to verify against")
-        if args.target is not None:
-            raise ValueError("--target applies to --n/--method; a document names its own")
+        for flag in ("n", "method", "target"):
+            if getattr(args, flag) is not None:
+                raise ValueError(f"--{flag} does not apply to --circuit; a document names its own")
         target = result.target_qubit
     elif args.n is None or args.method is None:
         raise ValueError("either --circuit or both --n and --method are required")

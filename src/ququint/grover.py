@@ -13,8 +13,10 @@ Backends differ only in how that multi-controlled Z reaches the simulator:
 - ``qubit``, ``qutrit`` and ``ququint`` splice in the corresponding compiled
   circuit from :mod:`ququint.decompose`.
 
-All backends report the same outcome distribution up to simulation noise;
-only the register shape and the gate count differ.
+All backends report the same outcome distribution; only the register shape
+and the gate count differ. A ladder that acts on the embedded basis as a
+phase times a permutation, as every compiled one does, runs on a 2^n vector;
+any other runs on the sparse table of register rows (:func:`_search`).
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .core import (
     DimensionTooLargeError,
     QuditGate,
     QuditRegister,
-    _merge_pairs,
     _propagate_sparse,
 )
 from .decompose import (
@@ -59,11 +60,6 @@ BACKENDS = ("reference",) + METHODS
 
 # qubit-level circuit steps: ("u", qubit, TwoLevelUnitary) or ("cnz",)
 Step = tuple
-
-# The one-qubit steps between two multi-controlled Zs: the Kronecker factors
-# A and B^T of their action on the 2^n vector, and the (n, 2, 2) stack of
-# per-qubit products they are built from, which the rest table lifts.
-Layer = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def auto_iterations(n: int) -> int:
@@ -217,145 +213,55 @@ def _kron(stack: np.ndarray) -> np.ndarray:
     return m
 
 
-def _compile(stack: np.ndarray) -> Layer:
+def _compile(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A layer's action on the 2^n vector. It is a tensor product of one 2x2
     unitary per qubit, so it splits into two dense factors, A on qubits
     0..h-1 and B on qubits h..n-1 (h = n // 2): it sends the vector, viewed
     as a 2^h x 2^(n-h) matrix V, to A V B^T."""
     h = len(stack) // 2
-    return _kron(stack[:h]), _kron(stack[h:]).T, stack
+    return _kron(stack[:h]), _kron(stack[h:]).T
 
 
-def _row_sums(
-    old: np.ndarray, bins: np.ndarray, src: np.ndarray, coefs: np.ndarray, count: int
-) -> np.ndarray:
-    """Fixed rows ``out[bin] += coef * old[src]`` into ``count`` bins from 0,
-    in row order: one ``np.bincount`` for the real part, one for the
-    imaginary."""
-    terms = coefs * old[src]
-    out = np.empty(count, dtype=np.complex128)
-    out.real = np.bincount(bins, weights=terms.real, minlength=count)
-    out.imag = np.bincount(bins, weights=terms.imag, minlength=count)
-    return out
+def _monomial_step(
+    emap: EmbeddingMap, plan: list | None
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The ladder's action on the 2^n vector as ``(perm, phase)``, one
+    application being ``phase * old[perm]``, or None when the action is not a
+    phase times a permutation of the view.
 
-
-class _SearchState:
-    """A search's state as a 2^n vector over the view plus a rest table.
-
-    The view is the embedded basis: entry x of the vector is the amplitude
-    of register index ``emap.encode(x)`` (qubit 0 most significant, any
-    bystander at 0). Every other live amplitude, such as a work-site,
-    spare-level or bystander-1 row, is a sorted ``(key, amplitude)`` row of
-    the rest table, keyed by flat register index. Lifted one-qubit gates
-    keep computational levels computational and bystanders untouched, so
-    they never move a row between the two; only the ladder mixes them.
-
-    A layer of one-qubit steps is two small matrix products on the vector,
-    A V B^T with V its 2^h x 2^(n-h) view and A, B the layer's factors on the
-    high and low qubits, Kronecker products of its per-qubit 2x2 unitaries
-    (:func:`_compile`). Only when the rest table holds rows are those
-    unitaries lifted onto the register, and the table takes them one by
-    one, so its rows stay exact.
-
-    The ladder is planned (``decompose._plan``: its monomial windows as
-    moves of keys, the rest fused), and its action on the view is computed
-    once per search: each view index is pushed through the plan as its own
-    amplitude-1 basis input (the verifier's batched table). By linearity one
-    application is then a fixed set of rows on the vector plus the rows it
-    sends off the view. Every compiled phase ladder, and the reference's
-    sign flip, sends each view index to a distinct view entry with a phase,
-    so its application is one gather-multiply ``phase * old[perm]`` and the
-    rest table stays empty; any other ladder sums its rows with
-    :func:`_row_sums`, and the rest table goes through the same plan.
+    The view is the embedded basis: entry x is the amplitude of register
+    index ``emap.encode(x)`` (qubit 0 most significant, any bystander at 0).
+    Each view index is pushed through the planned ladder (``plan``, None for
+    the reference's exact sign flip on |1...1>) as its own amplitude-1 basis
+    input, the verifier's batched table. The action is monomial when every
+    input ends as one row, on the view, and no two end at the same entry.
     """
+    n = emap.qubit_count
+    if plan is None:
+        phase = np.ones(2**n, dtype=np.complex128)
+        phase[-1] = -1.0
+        return np.arange(2**n), phase
+    view = emap.encode(_counting_bits(n))
+    src, index, amps = _basis_rows(emap.register, plan, view)
+    dst, computational = emap.decode(index)
+    if not (
+        np.array_equal(src, np.arange(2**n))
+        and (computational & (view[dst] == index)).all()
+        and np.bincount(dst, minlength=2**n).max() == 1
+    ):
+        return None
+    perm, phase = np.empty_like(src), np.empty_like(amps)
+    perm[dst], phase[dst] = src, amps
+    return perm, phase
 
-    def __init__(self, emap: EmbeddingMap, ladder: list[QuditGate] | None):
-        n = emap.qubit_count
-        self.emap = emap
-        self.view = emap.encode(_counting_bits(n))
-        if ladder is None:  # the reference's exact sign flip on |1...1>
-            self.ladder, src, index = None, np.arange(2**n), self.view
-            amps = np.ones(2**n, dtype=np.complex128)
-            amps[-1] = -1.0
-        else:
-            self.ladder = _plan(emap.register, ladder)
-            src, index, amps = _basis_rows(emap.register, self.ladder, self.view)
-        dst, inside = self._locate(index)
-        # the ladder's rows into the view, ``(bins, src, coefs)`` for
-        # _row_sums, or ``(None, perm, phase)`` when the action is monomial
-        # (one row per view index, each to a distinct view entry, none off
-        # the view): then bin k's one row reads perm[k]
-        if (
-            inside.all()
-            and np.array_equal(src, np.arange(2**n))
-            and np.bincount(dst, minlength=2**n).max() == 1
-        ):
-            perm, phase = np.empty_like(src), np.empty_like(amps)
-            perm[dst], phase[dst] = src, amps
-            self.gather = None, perm, phase
-        else:
-            self.gather = dst[inside], src[inside], amps[inside]
-        # off the view: each key once, sorted, and the bin of every row
-        self.leak_keys, bins = np.unique(index[~inside], return_inverse=True)
-        self.leak = bins, src[~inside], amps[~inside]
-        self.vector = np.zeros(2**n, dtype=np.complex128)
-        self.vector[0] = 1.0  # |0...0>
-        self.rest = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.complex128))
 
-    def _locate(self, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vector entry of each flat register index, and whether it is in
-        the view (computational, bystanders at 0)."""
-        outcome, computational = self.emap.decode(index)
-        return outcome, computational & (self.view[outcome] == index)
-
-    def layer(self, layer: Layer) -> None:
-        """One layer of one-qubit steps: A V B^T on the vector viewed as a
-        2^h x 2^(n-h) matrix V, the lifted unitaries on the rest table."""
-        a, bt, stack = layer
-        self.vector = (a @ self.vector.reshape(len(a), len(bt)) @ bt).ravel()
-        if len(self.rest[0]):
-            lifted = [
-                gate
-                for q, u in enumerate(stack)
-                for gate in lift_single_qubit_gate(_Product(*u.ravel().tolist()), q, self.emap)
-            ]
-            self.rest = _propagate_sparse(self.emap.register, lifted, *self.rest)
-
-    def apply_ladder(self) -> float:
-        """One multi-controlled Z; returns the probability then held off the
-        computational levels."""
-        old = self.vector
-        bins, src, coefs = self.gather
-        new = coefs * old[src] if bins is None else _row_sums(old, bins, src, coefs, len(old))
-        keys, amps = self.rest
-        if len(keys):
-            keys, amps = _propagate_sparse(self.emap.register, self.ladder, keys, amps)
-            dst, inside = self._locate(keys)
-            new[dst[inside]] += amps[inside]  # one row per view index
-            keys, amps = keys[~inside], amps[~inside]
-        if len(self.leak_keys):
-            # rest keys are unique, and so are the leak keys
-            leaked = _row_sums(old, *self.leak, len(self.leak_keys))
-            keys, amps = _merge_pairs(
-                np.concatenate((keys, self.leak_keys)), np.concatenate((amps, leaked))
-            )
-        self.vector, self.rest = new, (keys, amps)
-        if not len(keys):
-            return 0.0
-        _, computational = self.emap.decode(keys)
-        return float(np.sum(np.abs(amps[~computational]) ** 2))
-
-    def read_out(self) -> QubitReadout:
-        keys, amps = self.rest
-        probs = np.abs(self.vector) ** 2
-        if not len(keys):  # view entry x is bitstring x, on computational levels
-            labels = _bit_labels(self.emap.qubit_count)
-            return QubitReadout(dict(zip(labels, probs.tolist())), 0.0)
-        return _read_out_rows(
-            np.concatenate((self.view, keys)),
-            np.concatenate((probs, np.abs(amps) ** 2)),
-            self.emap,
-        )
+def _lift(stack: np.ndarray, emap: EmbeddingMap) -> list[QuditGate]:
+    """A layer's per-qubit 2x2 products as level-pair gates on the register."""
+    return [
+        gate
+        for q, u in enumerate(stack)
+        for gate in lift_single_qubit_gate(_Product(*u.ravel().tolist()), q, emap)
+    ]
 
 
 def _search(
@@ -363,30 +269,62 @@ def _search(
 ) -> tuple[QubitReadout, int | None]:
     """Read-out after the Hadamard layer and ``k`` iterations, and the first
     iteration in which a ladder left more than ``STATE_TOL`` of the
-    probability off the computational levels (None if none did)."""
+    probability off the computational levels (None if none did).
+
+    A monomial ladder (every compiled one, and the reference) runs on the 2^n
+    vector over the view: one gather-multiply per ladder and A V B^T per
+    layer (:func:`_compile`), and nothing ever leaves the view. Any other
+    ladder, one that mixes, leaks or moves a bystander, runs the whole search
+    on the sparse table of (flat register index, amplitude) rows that
+    ``simulate`` and ``verify`` run: each layer lifted onto the register, the
+    planned ladder as it is, and leakage read after every ladder.
+    """
     n = emap.qubit_count
     iteration = build_oracle(omega, n) + build_diffusion(n)
     # the layers around the two Zs of an iteration, with the one-qubit steps
     # of consecutive iterations joined: first, mid, wrap, mid, last
     layers = _layers([("u", q, HADAMARD) for q in range(n)] + iteration * 2, n)
-    first, mid, wrap, last = (_compile(layers[i]) for i in (0, 1, 2, 4))
-    state = _SearchState(emap, ladder)
-    state.layer(first)
+    layers = [layers[i] for i in (0, 1, 2, 4)]
+    plan = None if ladder is None else _plan(emap.register, ladder)
+    step = _monomial_step(emap, plan)
+    if step is not None:
+        perm, phase = step
+        first, mid, wrap, last = (_compile(stack) for stack in layers)
+        vector = np.zeros(2**n, dtype=np.complex128)
+        vector[0] = 1.0  # |0...0>
+        a, bt = first
+        vector = (a @ vector.reshape(len(a), len(bt)) @ bt).ravel()
+        for i in range(1, k + 1):
+            for a, bt in (mid, wrap if i < k else last):
+                vector = phase * vector[perm]
+                vector = (a @ vector.reshape(len(a), len(bt)) @ bt).ravel()
+        # view entry x is bitstring x, on computational levels
+        probs = np.abs(vector) ** 2
+        return QubitReadout(dict(zip(_bit_labels(n), probs.tolist())), 0.0), None
+    register = emap.register
+    first, mid, wrap, last = (_lift(stack, emap) for stack in layers)
+    # |0...0> is flat index 0: every site at level 0
+    keys, amps = _propagate_sparse(register, first, np.zeros(1, dtype=np.int64), np.ones(1))
     first_leak = None
     for i in range(1, k + 1):
-        for layer in (mid, wrap if i < k else last):
-            if state.apply_ladder() > STATE_TOL and first_leak is None:
+        for lifted in (mid, wrap if i < k else last):
+            keys, amps = _propagate_sparse(register, plan, keys, amps)
+            _, computational = emap.decode(keys)
+            leaked = float(np.sum(np.abs(amps[~computational]) ** 2))
+            if leaked > STATE_TOL and first_leak is None:
                 first_leak = i
-            state.layer(layer)
-    return state.read_out(), first_leak
+            keys, amps = _propagate_sparse(register, lifted, keys, amps)
+    return _read_out_rows(keys, np.abs(amps) ** 2, emap), first_leak
 
 
 def run_grover(spec: GroverSpec) -> GroverReport:
     """Simulate a full search run and report the exact outcome distribution.
 
-    The compiled ladder's action on the 2^n embedded basis states is
-    computed once per search; every iteration then runs on a 2^n vector
-    plus a table of the rows a faulty ladder leaves off it.
+    The ladder's action on the 2^n embedded basis states is computed once
+    per search. A phase times a permutation, as every compiled ladder and
+    the reference's sign flip are, runs as one gather-multiply on a 2^n
+    vector per ladder; any other ladder runs the whole search on the sparse
+    table that ``simulate`` and ``verify`` run (:func:`_search`).
 
     Raises:
         RuntimeError: Probability escaped the computational levels (this

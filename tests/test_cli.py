@@ -180,11 +180,11 @@ class TestVerify:
     def test_target_flag_refused_with_a_document(self, tmp_path, capsys):
         out = tmp_path / "doc.json"
         run_cli(capsys, "decompose", "--n", "3", "--method", "qutrit", "--out", str(out))
-        code, stdout, stderr = run_cli(
-            capsys, "verify", "--circuit", str(out), "--target", "x:0"
-        )
-        assert (code, stdout) == (2, "")
-        assert stderr.startswith("error:")
+        for flags in (["--target", "x:0"], ["--n", "8"], ["--method", "qubit"],
+                      ["--n", "8", "--method", "qubit"]):
+            code, stdout, stderr = run_cli(capsys, "verify", "--circuit", str(out), *flags)
+            assert (code, stdout) == (2, ""), flags
+            assert stderr.startswith("error:"), flags
 
     def test_sampled_mode_on_large_n(self, capsys):
         code, stdout, _ = run_cli(capsys, "verify", "--n", "9", "--method", "qutrit")

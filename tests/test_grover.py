@@ -22,8 +22,8 @@ from ququint import (
     run_grover,
 )
 from ququint import grover
-from ququint.core import STATE_TOL, _apply_gate_inplace
-from ququint.decompose import _MAX_SWEEP_N, METHODS, _fuse
+from ququint.core import PAULI_X, STATE_TOL, _apply_gate_inplace
+from ququint.decompose import _MAX_SWEEP_N, METHODS, _fuse, _plan
 from ququint.embedding import ODD_VARIANTS, lift_single_qubit_gate, read_out
 from ququint.grover import BACKENDS, build_diffusion, build_oracle
 
@@ -439,19 +439,16 @@ def test_layer_factors_match_the_sequential_kernel(n, data):
         st.lists(st.integers(0, n - 1), max_size=2 * n),
     ))
     steps = [("u", q, data.draw(two_level_unitaries())) for q in qubits]
-    emap = grover._prepare_backend(n, "reference", "single")[1]
     (stack,) = grover._layers(steps, n)
-    layer = grover._compile(stack)
+    a, bt = grover._compile(stack)
     rng = np.random.default_rng(n)
     vector = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
     vector /= np.linalg.norm(vector)
     expect = vector.copy()
     for _, q, u in steps:
         _apply_gate_inplace(expect, (2,) * n, LevelPairGate(q, 0, 1, u))
-    state = grover._SearchState(emap, None)
-    state.vector = vector
-    state.layer(layer)
-    assert np.abs(state.vector - expect).max() <= STATE_TOL
+    got = (a @ vector.reshape(len(a), len(bt)) @ bt).ravel()
+    assert np.abs(got - expect).max() <= STATE_TOL
 
 
 def _compiled_layouts(n):
@@ -476,38 +473,46 @@ class TestSetupPerSearch:
 
 class TestLadderStep:
     @pytest.mark.parametrize("n", range(2, 11))
-    def test_compiled_ladders_and_the_reference_are_one_gather(self, n, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("a monomial ladder summed rows")
-
-        monkeypatch.setattr(grover, "_row_sums", refuse)
+    def test_compiled_ladders_and_the_reference_are_one_gather(self, n):
         for method, variant in [("reference", "single")] + list(_compiled_layouts(n)):
             _, emap, ladder, _ = grover._prepare_backend(n, method, variant)
-            state = grover._SearchState(emap, ladder)
-            bins, perm, phase = state.gather
-            assert bins is None and len(state.leak_keys) == 0, (method, variant)
-            assert np.array_equal(np.sort(perm), np.arange(2**n))
-            assert np.array_equal(np.abs(phase), np.ones(2**n))
+            plan = None if ladder is None else _plan(emap.register, ladder)
+            perm, phase = grover._monomial_step(emap, plan)
+            assert np.array_equal(np.sort(perm), np.arange(2**n)), (method, variant)
+            assert np.array_equal(np.abs(phase), np.ones(2**n)), (method, variant)
             # the full-register run costs register size times ladder length
             if emap.register.size <= 2**15:
                 full, engine = _both_engines(n, method, variant=variant, omega=("10" * n)[:n])
                 _assert_same_readout(full, engine)
 
     @pytest.mark.parametrize("method", METHODS)
-    def test_mixing_ladder_sums_rows(self, method, monkeypatch):
+    def test_mixing_ladder_sums_rows(self, method):
         # a Hadamard on levels (0, 1) of site 0 after the ladder: it mixes
-        # computational levels, so the action is two rows per view index
-        n, calls, row_sums = 4, [], grover._row_sums
-
-        def counted(*args):
-            calls.append(args[-1])
-            return row_sums(*args)
-
-        monkeypatch.setattr(grover, "_row_sums", counted)
+        # computational levels, so the action is two rows per view index and
+        # the search runs on the sparse table
+        n = 4
         mixing = LevelPairGate(0, 0, 1, HADAMARD)
         _, emap, ladder, _ = grover._prepare_backend(n, method, "single")
-        state = grover._SearchState(emap, list(ladder) + [mixing])
-        assert state.gather[0] is not None
+        assert grover._monomial_step(emap, _plan(emap.register, list(ladder) + [mixing])) is None
         full, engine = _both_engines(n, method, lambda gates: list(gates) + [mixing], k=2)
-        assert calls and set(calls) == {2**n}
         _assert_same_readout(full, engine)
+
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_bystander_flip_is_not_leakage(self, n):
+        # X on levels (0, 1) and (2, 3) of the neighbor layout's bystander
+        # site after the ladder: every row stays computational, but half of
+        # them leave the view (bystander at 0), so the search runs on the
+        # sparse table and must still read no leakage
+        _, emap, ladder, _ = grover._prepare_backend(n, "ququint", "neighbor")
+        (site,) = emap.bystander_sites
+        flip = [LevelPairGate(site, 0, 1, PAULI_X), LevelPairGate(site, 2, 3, PAULI_X)]
+        flipped = list(ladder) + flip
+        assert grover._monomial_step(emap, _plan(emap.register, flipped)) is None
+        omega = "1" * n
+        full, engine = _both_engines(
+            n, "ququint", lambda _: flipped, omega=omega, variant="neighbor"
+        )
+        _assert_same_readout(full, engine)
+        assert engine.leakage == 0.0
+        if n == 5:
+            assert round(engine.probabilities[omega], 5) == 0.99918
