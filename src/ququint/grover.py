@@ -222,12 +222,19 @@ def _compile(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _kron(stack[:h]), _kron(stack[h:]).T
 
 
+def _real_if_exact(x: np.ndarray) -> np.ndarray:
+    """``x`` as float64 when every entry's imaginary part is exactly zero,
+    else ``x`` itself."""
+    return x.real if not x.imag.any() else x
+
+
 def _monomial_step(
     emap: EmbeddingMap, plan: list | None
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """The ladder's action on the 2^n vector as ``(perm, phase)``, one
     application being ``phase * old[perm]``, or None when the action is not a
-    phase times a permutation of the view.
+    phase times a permutation of the view. ``phase`` is float64 when every
+    phase is real, complex128 otherwise.
 
     The view is the embedded basis: entry x is the amplitude of register
     index ``emap.encode(x)`` (qubit 0 most significant, any bystander at 0).
@@ -238,7 +245,7 @@ def _monomial_step(
     """
     n = emap.qubit_count
     if plan is None:
-        phase = np.ones(2**n, dtype=np.complex128)
+        phase = np.ones(2**n)
         phase[-1] = -1.0
         return np.arange(2**n), phase
     view = emap.encode(_counting_bits(n))
@@ -252,7 +259,7 @@ def _monomial_step(
         return None
     perm, phase = np.empty_like(src), np.empty_like(amps)
     perm[dst], phase[dst] = src, amps
-    return perm, phase
+    return perm, _real_if_exact(phase)
 
 
 def _lift(stack: np.ndarray, emap: EmbeddingMap) -> list[QuditGate]:
@@ -273,9 +280,12 @@ def _search(
 
     A monomial ladder (every compiled one, and the reference) runs on the 2^n
     vector over the view: one gather-multiply per ladder and A V B^T per
-    layer (:func:`_compile`), and nothing ever leaves the view. Any other
-    ladder, one that mixes, leaks or moves a bystander, runs the whole search
-    on the sparse table of (flat register index, amplitude) rows that
+    layer (:func:`_compile`), and nothing ever leaves the view. The vector
+    and the factors are float64 when the ladder's phases and the layers are
+    real, as every compiled ladder's +-1 phases and the H and X layers are,
+    so each layer is two real matrix products; complex128 otherwise. Any
+    other ladder, one that mixes, leaks or moves a bystander, runs the whole
+    search on the sparse table of (flat register index, amplitude) rows that
     ``simulate`` and ``verify`` run: each layer lifted onto the register, the
     planned ladder as it is, and leakage read after every ladder.
     """
@@ -289,8 +299,9 @@ def _search(
     step = _monomial_step(emap, plan)
     if step is not None:
         perm, phase = step
+        layers = [_real_if_exact(stack) for stack in layers]
         first, mid, wrap, last = (_compile(stack) for stack in layers)
-        vector = np.zeros(2**n, dtype=np.complex128)
+        vector = np.zeros(2**n, dtype=np.result_type(phase, *layers))
         vector[0] = 1.0  # |0...0>
         a, bt = first
         vector = (a @ vector.reshape(len(a), len(bt)) @ bt).ravel()
@@ -323,8 +334,10 @@ def run_grover(spec: GroverSpec) -> GroverReport:
     The ladder's action on the 2^n embedded basis states is computed once
     per search. A phase times a permutation, as every compiled ladder and
     the reference's sign flip are, runs as one gather-multiply on a 2^n
-    vector per ladder; any other ladder runs the whole search on the sparse
-    table that ``simulate`` and ``verify`` run (:func:`_search`).
+    vector per ladder, a real vector when those phases are real (they are
+    +-1 for every compiled ladder); any other ladder runs the whole search
+    on the sparse table that ``simulate`` and ``verify`` run
+    (:func:`_search`).
 
     Raises:
         RuntimeError: Probability escaped the computational levels (this

@@ -19,6 +19,7 @@ from ququint import (
     circuit_unitary,
     decompose_cnz,
     embed_basis_state,
+    phase_shift,
     run_grover,
 )
 from ququint import grover
@@ -158,6 +159,17 @@ class TestRunGrover:
         report = run_grover(GroverSpec(n, "1" * n, "reference", iterations=k))
         assert report.success_probability == pytest.approx(
             analytic_success(n, k), abs=1e-9
+        )
+
+    # factor widths of 16 to 64, where BLAS blocks the layer products
+    # differently from the small sizes above
+    @pytest.mark.parametrize("iterations", ["auto", 5])
+    @pytest.mark.parametrize("method", ["reference", "ququint"])
+    @pytest.mark.parametrize("n", [9, 10, 12])
+    def test_success_matches_analytic_formula_at_wide_factors(self, n, method, iterations):
+        report = run_grover(GroverSpec(n, "1" * n, method, iterations=iterations))
+        assert report.success_probability == pytest.approx(
+            analytic_success(n, report.iterations), abs=1e-12
         )
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -427,6 +439,22 @@ def test_appended_level_pair_gate_matches_full_register(method, n, data):
 
 
 @given(st.integers(2, 12), st.data())
+def test_real_stacks_compile_to_the_real_part_of_complex_factors(n, data):
+    """A layer of H and X products compiles to the same factors from its
+    float64 stack as from its complex128 one, exactly: a product of reals
+    rounds the same in either dtype."""
+    steps = data.draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.sampled_from([HADAMARD, PAULI_X])),
+        max_size=3 * n,
+    ))
+    (stack,) = grover._layers([("u", q, u) for q, u in steps], n)
+    assert not stack.imag.any()
+    for real, complex_ in zip(grover._compile(stack.real), grover._compile(stack)):
+        assert real.dtype == np.float64 and complex_.dtype == np.complex128
+        assert np.array_equal(real, complex_.real) and not complex_.imag.any()
+
+
+@given(st.integers(2, 12), st.data())
 def test_layer_factors_match_the_sequential_kernel(n, data):
     """A layer's A V B^T, built from its (n, 2, 2) stack of per-qubit
     products, equals its steps run one by one through the stride kernel, for
@@ -516,3 +544,37 @@ class TestLadderStep:
         assert engine.leakage == 0.0
         if n == 5:
             assert round(engine.probabilities[omega], 5) == 0.99918
+
+
+class TestVectorDtype:
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_compiled_ladders_and_the_reference_run_in_float64(self, n, monkeypatch):
+        # every compiled ladder's phases are +-1 and every layer is a product
+        # of H and X, so the whole search multiplies real numbers
+        stacks = []
+        compile_ = grover._compile
+        monkeypatch.setattr(
+            grover, "_compile", lambda stack: stacks.append(stack) or compile_(stack)
+        )
+        for method, variant in [("reference", "single")] + list(_compiled_layouts(n)):
+            _, emap, ladder, _ = grover._prepare_backend(n, method, variant)
+            plan = None if ladder is None else _plan(emap.register, ladder)
+            _, phase = grover._monomial_step(emap, plan)
+            assert phase.dtype == np.float64, (method, variant)
+            stacks.clear()
+            grover._search(emap, ladder, "1" * n, 1)
+            assert [stack.dtype for stack in stacks] == [np.float64] * 4, (method, variant)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_complex_phase_stays_complex(self, method, n):
+        # a T-type phase on levels (0, 1) of site 0 after the ladder keeps the
+        # action a phase times a permutation, with phases e^(i pi/4) on the
+        # view entries that leave site 0 at level 1
+        t_phase = LevelPairGate(0, 0, 1, phase_shift(math.pi / 4))
+        _, emap, ladder, _ = grover._prepare_backend(n, method, "single")
+        step = grover._monomial_step(emap, _plan(emap.register, list(ladder) + [t_phase]))
+        assert step is not None
+        assert step[1].dtype == np.complex128 and step[1].imag.any()
+        full, engine = _both_engines(n, method, lambda gates: list(gates) + [t_phase])
+        _assert_same_readout(full, engine)
