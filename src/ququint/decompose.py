@@ -315,10 +315,10 @@ def decompose_cnz(request: DecompositionRequest) -> DecompositionResult:
 # input and it verifies with zero error and leakage. An inversion keeps its
 # target's Hadamards as mixing gates. Start and expected indices are encoded
 # for every input at once (``EmbeddingMap.encode``), and per-input errors and
-# leakage are reduced over the table in one pass. Grover searches take their
-# ladder's action on the embedded basis from the same rows, and ``simulate``
-# runs a document through the same plan; tests cross-check both against the
-# dense applier.
+# leakage are reduced over the table in one pass. A Grover search runs only
+# once this sweep reads its ladder as exactly the multi-controlled Z, and
+# ``simulate`` runs a document through the same plan; tests cross-check both
+# against the dense applier.
 # ---------------------------------------------------------------------------
 
 # Inputs propagated together. It bounds the table each step works on,

@@ -96,7 +96,7 @@ class EmbeddingMap:
     def slots_of(self, site: int) -> set[QubitSlot]:
         return {slot for s, slot in self.assignments if s == site}
 
-    @property
+    @functools.cached_property
     def bystander_sites(self) -> tuple[int, ...]:
         """Sites whose slot B belongs to a qubit outside this map."""
         return tuple(
@@ -105,14 +105,14 @@ class EmbeddingMap:
             if self.slots_of(site) == {QubitSlot.A}
         )
 
-    @property
+    @functools.cached_property
     def work_sites(self) -> tuple[int, ...]:
         """Sites hosting no mapped qubit; they must stay at level 0."""
         return tuple(
             site for site in range(self.register.num_sites) if not self.slots_of(site)
         )
 
-    @property
+    @functools.cached_property
     def level_ceilings(self) -> tuple[int, ...]:
         """Highest computational level of each site: 0 on work sites, 1 on
         SINGLE sites, 3 on pair and bystander sites (level 4 is working
@@ -288,16 +288,6 @@ def _bit_labels(n: int) -> tuple[str, ...]:
     return tuple(format(i, f"0{n}b") for i in range(2**n))
 
 
-def _read_out_rows(indices, weights, emap: EmbeddingMap) -> QubitReadout:
-    """:func:`read_out` of live rows: ``weights[k]`` is the probability of
-    flat register index ``indices[k]``, and absent indices carry none."""
-    weights = np.asarray(weights, dtype=float)
-    outcome, ok = emap.decode(indices)  # ok: on computational levels
-    n = emap.qubit_count
-    table = np.bincount(outcome[ok], weights=weights[ok], minlength=2**n)
-    return QubitReadout(dict(zip(_bit_labels(n), table.tolist())), float(weights[~ok].sum()))
-
-
 def read_out(probabilities: np.ndarray, emap: EmbeddingMap) -> QubitReadout:
     """Marginalize register outcome probabilities to qubit bitstrings.
 
@@ -312,4 +302,8 @@ def read_out(probabilities: np.ndarray, emap: EmbeddingMap) -> QubitReadout:
             f"{emap.register.size}"
         )
     live = np.flatnonzero(probs)
-    return _read_out_rows(live, probs[live], emap)
+    outcome, ok = emap.decode(live)  # ok: on computational levels
+    weights = probs[live]
+    n = emap.qubit_count
+    table = np.bincount(outcome[ok], weights=weights[ok], minlength=2**n)
+    return QubitReadout(dict(zip(_bit_labels(n), table.tolist())), float(weights[~ok].sum()))

@@ -6,17 +6,18 @@ multi-controlled Z, so exactly |omega> flips sign) followed by the diffusion
 reflection (the same multi-controlled Z sandwiched between X and H layers).
 Each iteration therefore contains exactly two multi-controlled gates.
 
-Backends differ only in how that multi-controlled Z reaches the simulator:
+Backends differ only in where that multi-controlled Z comes from:
 
-- ``reference`` applies the exact phase flip in one step (no decomposition,
-  so no two-particle gate tally);
-- ``qubit``, ``qutrit`` and ``ququint`` splice in the corresponding compiled
-  circuit from :mod:`ququint.decompose`.
+- ``reference`` takes the exact phase flip (no decomposition, so no
+  two-particle gate tally);
+- ``qubit``, ``qutrit`` and ``ququint`` compile the corresponding ladder
+  with :mod:`ququint.decompose`, and the search runs only once
+  ``verify_decomposition`` reads it as exactly the multi-controlled Z on
+  every embedded basis input (amplitude error and leakage both 0).
 
-All backends report the same outcome distribution; only the register shape
-and the gate count differ. A ladder that acts on the embedded basis as a
-phase times a permutation, as every compiled one does, runs on a 2^n vector;
-any other runs on the sparse table of register rows (:func:`_search`).
+Every backend then runs the same search with the exact phase flip on a real
+2^n vector (:func:`_search`), so all report the same outcome distribution
+with zero leakage; only the two-particle gate count differs.
 """
 
 from __future__ import annotations
@@ -26,35 +27,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    HADAMARD,
-    PAULI_X,
-    STATE_TOL,
-    DimensionTooLargeError,
-    QuditGate,
-    QuditRegister,
-    _propagate_sparse,
-)
+from .core import HADAMARD, PAULI_X, DimensionTooLargeError
 from .decompose import (
     _MAX_SWEEP_N,
     METHODS,
     DecompositionRequest,
-    _basis_rows,
-    _plan,
-    _Product,
     decompose_cnz,
+    verify_decomposition,
 )
-from .embedding import (
-    ODD_VARIANTS,
-    EmbeddingMap,
-    QubitReadout,
-    QubitSlot,
-    _bit_labels,
-    _counting_bits,
-    _parse_bits,
-    _read_out_rows,
-    lift_single_qubit_gate,
-)
+from .embedding import ODD_VARIANTS, QubitReadout, _bit_labels, _parse_bits
 
 BACKENDS = ("reference",) + METHODS
 
@@ -165,22 +146,6 @@ class GroverReport:
     distribution: dict[str, float]
 
 
-def _prepare_backend(n: int, method: str, odd_variant: str):
-    """Register, embedding, compiled multi-controlled-Z gates (None for the
-    exact reference), and the per-gate two-particle count."""
-    if method == "reference":
-        register = QuditRegister((2,) * n)
-        emap = EmbeddingMap(register, tuple((q, QubitSlot.SINGLE) for q in range(n)))
-        return register, emap, None, 0
-    result = decompose_cnz(DecompositionRequest(n, method, odd_variant))
-    return (
-        result.circuit.register,
-        result.embedding,
-        result.circuit.gates,
-        result.two_particle_gate_count,
-    )
-
-
 def _layers(steps: list[Step], n: int) -> list[np.ndarray]:
     """The layers of one-qubit steps between the multi-controlled Zs of a
     step list, each an (n, 2, 2) stack: the product of qubit q's steps in
@@ -222,138 +187,65 @@ def _compile(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _kron(stack[:h]), _kron(stack[h:]).T
 
 
-def _real_if_exact(x: np.ndarray) -> np.ndarray:
-    """``x`` as float64 when every entry's imaginary part is exactly zero,
-    else ``x`` itself."""
-    return x.real if not x.imag.any() else x
+def _search(n: int, omega: str, k: int) -> np.ndarray:
+    """Outcome probabilities, bitstring x at index x (qubit 0 most
+    significant), after the Hadamard layer and ``k`` iterations with the
+    exact multi-controlled Z.
 
-
-def _monomial_step(
-    emap: EmbeddingMap, plan: list | None
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """The ladder's action on the 2^n vector as ``(perm, phase)``, one
-    application being ``phase * old[perm]``, or None when the action is not a
-    phase times a permutation of the view. ``phase`` is float64 when every
-    phase is real, complex128 otherwise.
-
-    The view is the embedded basis: entry x is the amplitude of register
-    index ``emap.encode(x)`` (qubit 0 most significant, any bystander at 0).
-    Each view index is pushed through the planned ladder (``plan``, None for
-    the reference's exact sign flip on |1...1>) as its own amplitude-1 basis
-    input, the verifier's batched table. The action is monomial when every
-    input ends as one row, on the view, and no two end at the same entry.
+    The search runs on a real 2^n vector, viewed as a 2^h x 2^(n-h) matrix
+    V (h = n // 2). Each multi-controlled Z negates the entry of |1...1>,
+    the last of V; each layer of one-qubit steps between two of them is
+    A V B^T (:func:`_compile`). Every layer is a product of H and X, so
+    real, and so is the vector: each layer is two real matrix products.
     """
-    n = emap.qubit_count
-    if plan is None:
-        phase = np.ones(2**n)
-        phase[-1] = -1.0
-        return np.arange(2**n), phase
-    view = emap.encode(_counting_bits(n))
-    src, index, amps = _basis_rows(emap.register, plan, view)
-    dst, computational = emap.decode(index)
-    if not (
-        np.array_equal(src, np.arange(2**n))
-        and (computational & (view[dst] == index)).all()
-        and np.bincount(dst, minlength=2**n).max() == 1
-    ):
-        return None
-    perm, phase = np.empty_like(src), np.empty_like(amps)
-    perm[dst], phase[dst] = src, amps
-    return perm, _real_if_exact(phase)
-
-
-def _lift(stack: np.ndarray, emap: EmbeddingMap) -> list[QuditGate]:
-    """A layer's per-qubit 2x2 products as level-pair gates on the register."""
-    return [
-        gate
-        for q, u in enumerate(stack)
-        for gate in lift_single_qubit_gate(_Product(*u.ravel().tolist()), q, emap)
-    ]
-
-
-def _search(
-    emap: EmbeddingMap, ladder: list[QuditGate] | None, omega: str, k: int
-) -> tuple[QubitReadout, int | None]:
-    """Read-out after the Hadamard layer and ``k`` iterations, and the first
-    iteration in which a ladder left more than ``STATE_TOL`` of the
-    probability off the computational levels (None if none did).
-
-    A monomial ladder (every compiled one, and the reference) runs on the 2^n
-    vector over the view: one gather-multiply per ladder and A V B^T per
-    layer (:func:`_compile`), and nothing ever leaves the view. The vector
-    and the factors are float64 when the ladder's phases and the layers are
-    real, as every compiled ladder's +-1 phases and the H and X layers are,
-    so each layer is two real matrix products; complex128 otherwise. Any
-    other ladder, one that mixes, leaks or moves a bystander, runs the whole
-    search on the sparse table of (flat register index, amplitude) rows that
-    ``simulate`` and ``verify`` run: each layer lifted onto the register, the
-    planned ladder as it is, and leakage read after every ladder.
-    """
-    n = emap.qubit_count
     iteration = build_oracle(omega, n) + build_diffusion(n)
     # the layers around the two Zs of an iteration, with the one-qubit steps
     # of consecutive iterations joined: first, mid, wrap, mid, last
     layers = _layers([("u", q, HADAMARD) for q in range(n)] + iteration * 2, n)
-    layers = [layers[i] for i in (0, 1, 2, 4)]
-    plan = None if ladder is None else _plan(emap.register, ladder)
-    step = _monomial_step(emap, plan)
-    if step is not None:
-        perm, phase = step
-        layers = [_real_if_exact(stack) for stack in layers]
-        first, mid, wrap, last = (_compile(stack) for stack in layers)
-        vector = np.zeros(2**n, dtype=np.result_type(phase, *layers))
-        vector[0] = 1.0  # |0...0>
-        a, bt = first
-        vector = (a @ vector.reshape(len(a), len(bt)) @ bt).ravel()
-        for i in range(1, k + 1):
-            for a, bt in (mid, wrap if i < k else last):
-                vector = phase * vector[perm]
-                vector = (a @ vector.reshape(len(a), len(bt)) @ bt).ravel()
-        # view entry x is bitstring x, on computational levels
-        probs = np.abs(vector) ** 2
-        return QubitReadout(dict(zip(_bit_labels(n), probs.tolist())), 0.0), None
-    register = emap.register
-    first, mid, wrap, last = (_lift(stack, emap) for stack in layers)
-    # |0...0> is flat index 0: every site at level 0
-    keys, amps = _propagate_sparse(register, first, np.zeros(1, dtype=np.int64), np.ones(1))
-    first_leak = None
+    first, mid, wrap, last = (_compile(layers[i].real) for i in (0, 1, 2, 4))
+    a, bt = first
+    v = np.zeros((len(a), len(bt)))
+    v[0, 0] = 1.0  # |0...0>
+    v = a @ v @ bt
     for i in range(1, k + 1):
-        for lifted in (mid, wrap if i < k else last):
-            keys, amps = _propagate_sparse(register, plan, keys, amps)
-            _, computational = emap.decode(keys)
-            leaked = float(np.sum(np.abs(amps[~computational]) ** 2))
-            if leaked > STATE_TOL and first_leak is None:
-                first_leak = i
-            keys, amps = _propagate_sparse(register, lifted, keys, amps)
-    return _read_out_rows(keys, np.abs(amps) ** 2, emap), first_leak
+        for a, bt in (mid, wrap if i < k else last):
+            v[-1, -1] = -v[-1, -1]
+            v = a @ v @ bt
+    return (np.abs(v) ** 2).ravel()
 
 
 def run_grover(spec: GroverSpec) -> GroverReport:
     """Simulate a full search run and report the exact outcome distribution.
 
-    The ladder's action on the 2^n embedded basis states is computed once
-    per search. A phase times a permutation, as every compiled ladder and
-    the reference's sign flip are, runs as one gather-multiply on a 2^n
-    vector per ladder, a real vector when those phases are real (they are
-    +-1 for every compiled ladder); any other ladder runs the whole search
-    on the sparse table that ``simulate`` and ``verify`` run
-    (:func:`_search`).
+    A compiled backend's ladder is checked first: ``verify_decomposition``
+    runs it on every embedded basis input, with both bystander values where
+    the layout has one, and the search runs only when amplitude error and
+    leakage are both exactly 0. The ladder is then exactly the multi-controlled Z, so every backend
+    runs the same search (:func:`_search`), whose distribution and zero
+    leakage are the ladder's. Only the two-particle gate tally differs.
 
     Raises:
-        RuntimeError: Probability escaped the computational levels (this
-            would indicate a broken decomposition, not user error); the
-            message names the first iteration that leaked.
+        RuntimeError: The compiled ladder is not exactly the
+            multi-controlled Z (this would indicate a broken decomposition,
+            not user error); the message names the worst input when the
+            verifier names one, the amplitude error and the leakage.
     """
     n = spec.n
-    _, emap, ladder, per_count = _prepare_backend(n, spec.method, spec.odd_variant)
+    per_count = 0
+    if spec.method != "reference":
+        result = decompose_cnz(DecompositionRequest(n, spec.method, spec.odd_variant))
+        check = verify_decomposition(result)
+        if check.max_amplitude_error != 0.0 or check.max_leakage != 0.0:
+            worst = f" (worst input {check.worst_input})" if check.worst_input else ""
+            raise RuntimeError(
+                f"the {spec.method} ladder is not exactly the multi-controlled Z"
+                f"{worst}: amplitude error {check.max_amplitude_error}, leakage "
+                f"{check.max_leakage}; the decomposition is broken"
+            )
+        per_count = result.two_particle_gate_count
     k = auto_iterations(n) if spec.iterations == "auto" else int(spec.iterations)
-    readout, first_leak = _search(emap, ladder, spec.omega, k)
-    if readout.leakage > STATE_TOL:
-        where = f" (first above STATE_TOL in iteration {first_leak})" if first_leak else ""
-        raise RuntimeError(
-            f"leakage {readout.leakage} after a {spec.method} run{where}; the "
-            "decomposition failed to restore its working levels"
-        )
+    probs = _search(n, spec.omega, k)
+    readout = QubitReadout(dict(zip(_bit_labels(n), probs.tolist())), 0.0)
     return GroverReport(
         n=n,
         omega=spec.omega,

@@ -22,7 +22,7 @@ from ququint import cli, core, decompose
 from ququint.cli import _outcome_table, main
 from ququint.core import _propagate_sparse, _sample_counts
 from ququint.decompose import _WINDOW_SIZE, _plan
-from ququint.embedding import _read_out_rows
+from ququint.embedding import read_out
 
 
 def run_cli(capsys, *argv):
@@ -410,7 +410,9 @@ def test_shots_draw_what_the_full_table_drew(n, method, variant, target):
     for rows in starts:
         keys, amps = _propagate_sparse(register, plan, *rows)
         outcomes, probs = _outcome_table(document, keys, amps)
-        full = _read_out_rows(keys, np.abs(amps) ** 2, emap)
+        dense = np.zeros(register.size)
+        dense[keys] = np.abs(amps) ** 2
+        full = read_out(dense, emap)
         every = sorted(full.probabilities) + ["leakage"]
         weights = [full.probabilities[o] for o in every[:-1]] + [full.leakage]
         for seed in range(20):

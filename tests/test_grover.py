@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,10 +11,12 @@ from ququint import (
     HADAMARD,
     DecompositionRequest,
     DimensionTooLargeError,
+    EmbeddingMap,
     GroverSpec,
     LevelPairGate,
     QubitSlot,
     QuditCircuit,
+    QuditRegister,
     TwoLevelUnitary,
     auto_iterations,
     circuit_unitary,
@@ -21,10 +24,11 @@ from ququint import (
     embed_basis_state,
     phase_shift,
     run_grover,
+    verify_decomposition,
 )
 from ququint import grover
 from ququint.core import PAULI_X, STATE_TOL, _apply_gate_inplace
-from ququint.decompose import _MAX_SWEEP_N, METHODS, _fuse, _plan
+from ququint.decompose import _MAX_SWEEP_N, METHODS, _fuse
 from ququint.embedding import ODD_VARIANTS, lift_single_qubit_gate, read_out
 from ququint.grover import BACKENDS, build_diffusion, build_oracle
 
@@ -251,8 +255,8 @@ class TestMethodAgnosticism:
     @pytest.mark.parametrize("n", range(2, 11))
     def test_swap_ladders_are_exact(self, n):
         # the qutrit and ququint ladders are controlled level swaps around a
-        # phase, the qubit ladder Toffoli blocks around one: run as moves of
-        # keys, they add no rounding to the search
+        # phase, the qubit ladder Toffoli blocks around one: each verifies as
+        # exactly the multi-controlled Z, so its search is the reference's
         omega = ("10" * n)[:n]
         reference = run_grover(GroverSpec(n, omega, "reference")).distribution
         for method, variant in [
@@ -266,22 +270,33 @@ class TestMethodAgnosticism:
             assert report.leakage == 0.0, (method, variant)
 
     def test_prepared_registers_have_expected_shapes(self):
-        from ququint.grover import _prepare_backend
+        # the registers the n=5 ladders are compiled and verified on, and
+        # the two-particle gates one iteration's two ladders bill
+        for method, dims, count in [("ququint", (5, 5, 5), 3), ("qubit", (2,) * 8, 37)]:
+            result = decompose_cnz(DecompositionRequest(5, method))
+            assert result.circuit.register.dims == dims
+            assert result.two_particle_gate_count == count
+            report = run_grover(GroverSpec(5, "11111", method, iterations=1))
+            assert report.two_particle_gate_count == 2 * count
+        report = run_grover(GroverSpec(5, "11111", "reference", iterations=1))
+        assert report.two_particle_gate_count == 0
 
-        register, emap, gates, count = _prepare_backend(5, "ququint", "single")
-        assert register.dims == (5, 5, 5) and count == 3
-        register, emap, gates, count = _prepare_backend(5, "qubit", "single")
-        assert register.dims == (2,) * 8 and count == 37
-        register, emap, gates, count = _prepare_backend(5, "reference", "single")
-        assert gates is None and count == 0
-        assert all(slot is QubitSlot.SINGLE for _, slot in emap.assignments)
+
+def _backend(n, method, variant="single"):
+    """Embedding and ladder gates of a backend: the compiled ladder's, or
+    for the reference one two-level site per qubit and no ladder."""
+    if method == "reference":
+        register = QuditRegister((2,) * n)
+        return EmbeddingMap(register, tuple((q, QubitSlot.SINGLE) for q in range(n))), None
+    result = decompose_cnz(DecompositionRequest(n, method, variant))
+    return result.embedding, result.circuit.gates
 
 
 def _full_register_run(emap, ladder, omega, k):
-    """Read-out of one search on a register-sized array, independent of the
-    engine: every lifted one-qubit step and every ladder gate through the
-    in-place stride applier, and for the reference (``ladder`` None) a numpy
-    sign flip on |1...1>."""
+    """Read-out of one search on a register-sized array, independent of
+    ``run_grover``: every lifted one-qubit step and every ladder gate through
+    the in-place stride applier, and for the reference (``ladder`` None) a
+    numpy sign flip on |1...1>."""
     register, n = emap.register, emap.qubit_count
     arr = np.zeros(register.size, dtype=complex)
     arr[0] = 1.0
@@ -300,24 +315,28 @@ def _full_register_run(emap, ladder, omega, k):
     return read_out(np.abs(arr) ** 2, emap)
 
 
-def _both_engines(
-    n, method, gates_of=lambda gates: gates, k=None, omega=None, variant="single"
-):
-    """Read-outs of one search from a full-register run and from the engine
-    ``run_grover`` uses."""
-    _, emap, ladder, _ = grover._prepare_backend(n, method, variant)
-    if ladder is not None:
-        ladder = gates_of(ladder)
-    omega = omega or "1" * n
-    k = k or auto_iterations(n)
-    return _full_register_run(emap, ladder, omega, k), grover._search(emap, ladder, omega, k)[0]
-
-
-def _assert_same_readout(full, engine):
-    assert full.probabilities.keys() == engine.probabilities.keys()
+def _assert_same_distribution(full, report):
+    assert full.probabilities.keys() == report.distribution.keys()
     for key, p in full.probabilities.items():
-        assert abs(engine.probabilities[key] - p) <= STATE_TOL, key
-    assert engine.leakage == pytest.approx(full.leakage, abs=STATE_TOL)
+        assert abs(report.distribution[key] - p) <= STATE_TOL, key
+    assert full.leakage <= STATE_TOL and report.leakage == 0.0
+
+
+def _compile_with(extra):
+    """``decompose_cnz`` with the gates ``extra`` appended to the ladder."""
+
+    def compile_(request):
+        result = decompose_cnz(request)
+        circuit = result.circuit
+        result.circuit = QuditCircuit(circuit.register, list(circuit.gates) + list(extra))
+        return result
+
+    return compile_
+
+
+def _check_with(extra, n, method, variant="single"):
+    """The verifier's report on the ladder with ``extra`` appended."""
+    return verify_decomposition(_compile_with(extra)(DecompositionRequest(n, method, variant)))
 
 
 # Every backend at n=2..7, then larger registers, whose layer factors are
@@ -339,14 +358,15 @@ _ENGINE_CASES = [
 class TestEngines:
     @pytest.mark.parametrize("n,method,variant", _ENGINE_CASES)
     def test_sparse_table_matches_dense_register(self, n, method, variant):
+        # the search the verifier's sparse table admits, run with the exact
+        # multi-controlled Z, equals the compiled ladder run gate by gate on
+        # the whole register
         rng = np.random.default_rng(100 + n)
         omega = "".join(str(b) for b in rng.integers(0, 2, size=n))
         k = int(rng.integers(1, grover._max_iterations(n) + 1))
-        dense, sparse = _both_engines(n, method, k=k, omega=omega, variant=variant)
-        assert dense.probabilities.keys() == sparse.probabilities.keys()
-        for key, p in dense.probabilities.items():
-            assert abs(sparse.probabilities[key] - p) <= STATE_TOL, key
-        assert dense.leakage <= STATE_TOL and sparse.leakage <= STATE_TOL
+        emap, ladder = _backend(n, method, variant)
+        report = run_grover(GroverSpec(n, omega, method, k, variant))
+        _assert_same_distribution(_full_register_run(emap, ladder, omega, k), report)
 
     @pytest.mark.parametrize(
         "method,n,engine",
@@ -367,49 +387,61 @@ class TestEngines:
         assert np.abs(circuit_unitary(fused) - circuit_unitary(circuit)).max() <= STATE_TOL
 
     def test_leaking_ladder_reports_the_same_leakage(self, monkeypatch):
-        # a final Hadamard on the first work site; a final X would cancel,
-        # since each iteration runs the ladder twice and nothing else
-        # touches the work sites. n=8 once ran on another engine than n=4.
+        # a final Hadamard on the first work site: it leaves half of every
+        # input on level 1 of that site, which the verifier reads and the
+        # refusal names; the whole search run gate by gate leaks too
         for n in (4, 8):
-            register, emap, gates, count = grover._prepare_backend(n, "qubit", "single")
-            leaking = list(gates) + [LevelPairGate(emap.work_sites[0], 0, 1, HADAMARD)]
-            dense, sparse = _both_engines(n, "qubit", lambda _: leaking)
-            assert dense.leakage > 0.5
-            assert sparse.leakage == pytest.approx(dense.leakage, abs=STATE_TOL)
-            for key, p in dense.probabilities.items():
-                assert abs(sparse.probabilities[key] - p) <= STATE_TOL, key
-            with monkeypatch.context() as patch, pytest.raises(RuntimeError, match="leakage"):
-                patch.setattr(
-                    grover, "_prepare_backend", lambda *_: (register, emap, leaking, count)
-                )
+            emap, ladder = _backend(n, "qubit")
+            leak = [LevelPairGate(emap.work_sites[0], 0, 1, HADAMARD)]
+            full = _full_register_run(emap, list(ladder) + leak, "1" * n, auto_iterations(n))
+            assert full.leakage > 0.5
+            check = _check_with(leak, n, "qubit")
+            assert check.max_leakage == pytest.approx(0.5, abs=STATE_TOL)
+            with monkeypatch.context() as patch, pytest.raises(
+                RuntimeError, match=re.escape(f", leakage {check.max_leakage}; ")
+            ):
+                patch.setattr(grover, "decompose_cnz", _compile_with(leak))
                 run_grover(GroverSpec(n, "1" * n, "qubit"))
 
-    def test_leak_names_the_first_iteration_above_tolerance(self, monkeypatch):
+    def test_small_leak_is_refused_before_the_search(self, monkeypatch):
         # a small rotation from level 1 into the spare level 2 of qutrit
-        # site 0 after the ladder: the leakage rises and falls from ladder
-        # to ladder and first passes STATE_TOL in the third iteration
-        register, emap, gates, count = grover._prepare_backend(5, "qutrit", "single")
+        # site 0 after the ladder: run gate by gate, the leakage rises and
+        # falls from ladder to ladder and first passes STATE_TOL in the third
+        # iteration; the verifier sees it in one ladder and no iteration runs
+        emap, ladder = _backend(5, "qutrit")
         theta = 1.25e-5
         u = TwoLevelUnitary(math.cos(theta), -math.sin(theta), math.sin(theta), math.cos(theta))
-        leaking = list(gates) + [LevelPairGate(0, 1, 2, u)]
-        full = [_full_register_run(emap, leaking, "10110", k).leakage for k in (1, 2, 3)]
+        leak = [LevelPairGate(0, 1, 2, u)]
+        full = [_full_register_run(emap, list(ladder) + leak, "10110", k).leakage for k in (1, 2, 3)]
         assert full[0] < STATE_TOL and full[1] < STATE_TOL < full[2]
-        monkeypatch.setattr(
-            grover, "_prepare_backend", lambda *_: (register, emap, leaking, count)
-        )
+        check = _check_with(leak, 5, "qutrit")
+        assert check.max_leakage == pytest.approx(math.sin(theta) ** 2, rel=1e-6)
+        monkeypatch.setattr(grover, "decompose_cnz", _compile_with(leak))
         with pytest.raises(
-            RuntimeError, match=r"^leakage \S+ after a qutrit run \(first above STATE_TOL in iteration 3\)"
+            RuntimeError,
+            match=r"^the qutrit ladder is not exactly the multi-controlled Z \(worst input 10000\): "
+            + re.escape(f"amplitude error {check.max_amplitude_error}, leakage {check.max_leakage}"),
         ):
             run_grover(GroverSpec(5, "10110", "qutrit", iterations=3))
 
-    def test_work_site_leak_is_named_in_the_first_iteration(self, monkeypatch):
-        register, emap, gates, count = grover._prepare_backend(4, "qubit", "single")
-        leaking = list(gates) + [LevelPairGate(emap.work_sites[0], 0, 1, HADAMARD)]
-        monkeypatch.setattr(
-            grover, "_prepare_backend", lambda *_: (register, emap, leaking, count)
-        )
-        with pytest.raises(RuntimeError, match=r"\(first above STATE_TOL in iteration 1\)"):
+    def test_work_site_leak_names_the_worst_input(self, monkeypatch):
+        emap, ladder = _backend(4, "qubit")
+        leak = [LevelPairGate(emap.work_sites[0], 0, 1, HADAMARD)]
+        monkeypatch.setattr(grover, "decompose_cnz", _compile_with(leak))
+        with pytest.raises(RuntimeError, match=r"\(worst input 0000\): amplitude error "):
             run_grover(GroverSpec(4, "1111", "qubit"))
+
+    def test_passing_but_inexact_ladder_is_refused(self, monkeypatch):
+        # a 1e-12 phase on level 1 of site 0: the ladder passes the
+        # verifier's STATE_TOL, so it names no worst input, but the search
+        # runs the exact multi-controlled Z and so admits only an exact one
+        leak = [LevelPairGate(0, 0, 1, phase_shift(1e-12))]
+        check = _check_with(leak, 4, "ququint")
+        assert check.passed() and check.worst_input is None
+        assert check.max_amplitude_error > 0.0
+        monkeypatch.setattr(grover, "decompose_cnz", _compile_with(leak))
+        with pytest.raises(RuntimeError, match=r"multi-controlled Z: amplitude error "):
+            run_grover(GroverSpec(4, "1111", "ququint"))
 
 
 @st.composite
@@ -422,20 +454,28 @@ def two_level_unitaries(draw):
 @given(st.sampled_from(METHODS), st.integers(3, 6), st.data())
 def test_appended_level_pair_gate_matches_full_register(method, n, data):
     """Any level-pair gate after the ladder, leaking or mixing computational
-    levels or not: the engine agrees with the full-register run."""
+    levels or not: ``run_grover`` refuses the search exactly when the
+    verifier does not read the ladder as exactly the multi-controlled Z, and
+    otherwise agrees with the full-register run."""
     variant = data.draw(st.sampled_from(ODD_VARIANTS)) if method == "ququint" else "single"
-    register = grover._prepare_backend(n, method, variant)[0]
-    site = data.draw(st.integers(0, register.num_sites - 1))
+    emap, ladder = _backend(n, method, variant)
+    site = data.draw(st.integers(0, emap.register.num_sites - 1))
     i, j = sorted(data.draw(st.lists(
-        st.integers(0, register.dims[site] - 1), min_size=2, max_size=2, unique=True
+        st.integers(0, emap.register.dims[site] - 1), min_size=2, max_size=2, unique=True
     )))
-    gate = LevelPairGate(site, i, j, data.draw(two_level_unitaries()))
+    extra = [LevelPairGate(site, i, j, data.draw(two_level_unitaries()))]
     omega = "".join(data.draw(st.lists(st.sampled_from("01"), min_size=n, max_size=n)))
     k = data.draw(st.integers(1, auto_iterations(n)))
-    full, engine = _both_engines(
-        n, method, lambda gates: list(gates) + [gate], k=k, omega=omega, variant=variant
-    )
-    _assert_same_readout(full, engine)
+    check = _check_with(extra, n, method, variant)
+    spec = GroverSpec(n, omega, method, k, variant)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(grover, "decompose_cnz", _compile_with(extra))
+        if check.max_amplitude_error != 0.0 or check.max_leakage != 0.0:
+            with pytest.raises(RuntimeError, match="not exactly the multi-controlled Z"):
+                run_grover(spec)
+            return
+        report = run_grover(spec)
+    _assert_same_distribution(_full_register_run(emap, list(ladder) + extra, omega, k), report)
 
 
 @given(st.integers(2, 12), st.data())
@@ -487,94 +527,85 @@ def _compiled_layouts(n):
 
 class TestSetupPerSearch:
     def test_clean_search_leaves_no_stale_set_up_for_a_leaking_ladder(self, monkeypatch):
-        # each search derives its set-up from the ladder it is given, so the
-        # same n and method with a leaking ladder must not reuse a clean one
+        # each search compiles and verifies its own ladder, so the same n
+        # and method with a leaking ladder must not reuse a clean one
         run_grover(GroverSpec(4, "1111", "qubit"))
-        register, emap, gates, count = grover._prepare_backend(4, "qubit", "single")
-        leaking = list(gates) + [LevelPairGate(emap.work_sites[0], 0, 1, HADAMARD)]
-        monkeypatch.setattr(
-            grover, "_prepare_backend", lambda *_: (register, emap, leaking, count)
-        )
-        with pytest.raises(RuntimeError, match=r"\(first above STATE_TOL in iteration 1\)"):
+        emap, _ = _backend(4, "qubit")
+        leak = [LevelPairGate(emap.work_sites[0], 0, 1, HADAMARD)]
+        monkeypatch.setattr(grover, "decompose_cnz", _compile_with(leak))
+        with pytest.raises(RuntimeError, match=r"^the qubit ladder is not exactly"):
             run_grover(GroverSpec(4, "1111", "qubit"))
 
 
 class TestLadderStep:
     @pytest.mark.parametrize("n", range(2, 11))
-    def test_compiled_ladders_and_the_reference_are_one_gather(self, n):
-        for method, variant in [("reference", "single")] + list(_compiled_layouts(n)):
-            _, emap, ladder, _ = grover._prepare_backend(n, method, variant)
-            plan = None if ladder is None else _plan(emap.register, ladder)
-            perm, phase = grover._monomial_step(emap, plan)
-            assert np.array_equal(np.sort(perm), np.arange(2**n)), (method, variant)
-            assert np.array_equal(np.abs(phase), np.ones(2**n)), (method, variant)
-            # the full-register run costs register size times ladder length
-            if emap.register.size <= 2**15:
-                full, engine = _both_engines(n, method, variant=variant, omega=("10" * n)[:n])
-                _assert_same_readout(full, engine)
+    def test_compiled_ladders_are_exactly_the_cz(self, n):
+        # every input, with both bystander values where the layout has one,
+        # ends where the multi-controlled Z sends it with exactly its sign,
+        # so every compiled ladder is admitted to the search
+        for method, variant in _compiled_layouts(n):
+            result = decompose_cnz(DecompositionRequest(n, method, variant))
+            check = verify_decomposition(result)
+            assert (check.max_amplitude_error, check.max_leakage) == (0.0, 0.0), (method, variant)
+            inputs = 2**n * (2 if result.embedding.bystander_sites else 1)
+            assert check.inputs_checked == inputs, (method, variant)
 
     @pytest.mark.parametrize("method", METHODS)
-    def test_mixing_ladder_sums_rows(self, method):
-        # a Hadamard on levels (0, 1) of site 0 after the ladder: it mixes
-        # computational levels, so the action is two rows per view index and
-        # the search runs on the sparse table
-        n = 4
-        mixing = LevelPairGate(0, 0, 1, HADAMARD)
-        _, emap, ladder, _ = grover._prepare_backend(n, method, "single")
-        assert grover._monomial_step(emap, _plan(emap.register, list(ladder) + [mixing])) is None
-        full, engine = _both_engines(n, method, lambda gates: list(gates) + [mixing], k=2)
-        _assert_same_readout(full, engine)
+    def test_mixing_ladder_is_refused(self, method, monkeypatch):
+        # a Hadamard on levels (0, 1) of site 0 after the ladder mixes
+        # computational levels: the search it would need is not the exact one
+        mixing = [LevelPairGate(0, 0, 1, HADAMARD)]
+        check = _check_with(mixing, 4, method)
+        assert check.max_leakage == 0.0 and check.max_amplitude_error > 0.29
+        monkeypatch.setattr(grover, "decompose_cnz", _compile_with(mixing))
+        with pytest.raises(RuntimeError, match=r"Z \(worst input [01]{4}\): "):
+            run_grover(GroverSpec(4, "1111", method))
 
     @pytest.mark.parametrize("n", [3, 5, 7])
-    def test_bystander_flip_is_not_leakage(self, n):
+    def test_bystander_flip_is_not_leakage(self, n, monkeypatch):
         # X on levels (0, 1) and (2, 3) of the neighbor layout's bystander
-        # site after the ladder: every row stays computational, but half of
-        # them leave the view (bystander at 0), so the search runs on the
-        # sparse table and must still read no leakage
-        _, emap, ladder, _ = grover._prepare_backend(n, "ququint", "neighbor")
+        # site after the ladder: every input stays computational, so the
+        # verifier reads no leakage, but it ends with the bystander flipped,
+        # a full miss, and the search is refused
+        emap, _ = _backend(n, "ququint", "neighbor")
         (site,) = emap.bystander_sites
         flip = [LevelPairGate(site, 0, 1, PAULI_X), LevelPairGate(site, 2, 3, PAULI_X)]
-        flipped = list(ladder) + flip
-        assert grover._monomial_step(emap, _plan(emap.register, flipped)) is None
-        omega = "1" * n
-        full, engine = _both_engines(
-            n, "ququint", lambda _: flipped, omega=omega, variant="neighbor"
-        )
-        _assert_same_readout(full, engine)
-        assert engine.leakage == 0.0
-        if n == 5:
-            assert round(engine.probabilities[omega], 5) == 0.99918
+        check = _check_with(flip, n, "ququint", "neighbor")
+        assert (check.max_amplitude_error, check.max_leakage) == (1.0, 0.0)
+        monkeypatch.setattr(grover, "decompose_cnz", _compile_with(flip))
+        with pytest.raises(
+            RuntimeError,
+            match=re.escape(f"(worst input {'0' * n}+bystander0): amplitude error 1.0, leakage 0.0;"),
+        ):
+            run_grover(GroverSpec(n, "1" * n, "ququint", odd_variant="neighbor"))
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_complex_phase_is_refused(self, method, n, monkeypatch):
+        # a T-type phase on levels (0, 1) of site 0 after the ladder keeps
+        # every input on one basis state, but with phase e^(i pi/4) where
+        # site 0 ends at level 1
+        t_phase = [LevelPairGate(0, 0, 1, phase_shift(math.pi / 4))]
+        check = _check_with(t_phase, n, method)
+        assert check.max_leakage == 0.0
+        assert check.max_amplitude_error == pytest.approx(abs(cmath.exp(1j * math.pi / 4) - 1))
+        monkeypatch.setattr(grover, "decompose_cnz", _compile_with(t_phase))
+        with pytest.raises(RuntimeError, match="not exactly the multi-controlled Z"):
+            run_grover(GroverSpec(n, "1" * n, method))
 
 
 class TestVectorDtype:
     @pytest.mark.parametrize("n", range(2, 11))
     def test_compiled_ladders_and_the_reference_run_in_float64(self, n, monkeypatch):
-        # every compiled ladder's phases are +-1 and every layer is a product
-        # of H and X, so the whole search multiplies real numbers
+        # every layer is a product of H and X and the multi-controlled Z is a
+        # sign flip, so every backend's search multiplies real numbers only
         stacks = []
         compile_ = grover._compile
         monkeypatch.setattr(
             grover, "_compile", lambda stack: stacks.append(stack) or compile_(stack)
         )
+        assert grover._search(n, "1" * n, 1).dtype == np.float64
         for method, variant in [("reference", "single")] + list(_compiled_layouts(n)):
-            _, emap, ladder, _ = grover._prepare_backend(n, method, variant)
-            plan = None if ladder is None else _plan(emap.register, ladder)
-            _, phase = grover._monomial_step(emap, plan)
-            assert phase.dtype == np.float64, (method, variant)
             stacks.clear()
-            grover._search(emap, ladder, "1" * n, 1)
+            run_grover(GroverSpec(n, "1" * n, method, iterations=1, odd_variant=variant))
             assert [stack.dtype for stack in stacks] == [np.float64] * 4, (method, variant)
-
-    @pytest.mark.parametrize("n", [3, 4, 5])
-    @pytest.mark.parametrize("method", METHODS)
-    def test_complex_phase_stays_complex(self, method, n):
-        # a T-type phase on levels (0, 1) of site 0 after the ladder keeps the
-        # action a phase times a permutation, with phases e^(i pi/4) on the
-        # view entries that leave site 0 at level 1
-        t_phase = LevelPairGate(0, 0, 1, phase_shift(math.pi / 4))
-        _, emap, ladder, _ = grover._prepare_backend(n, method, "single")
-        step = grover._monomial_step(emap, _plan(emap.register, list(ladder) + [t_phase]))
-        assert step is not None
-        assert step[1].dtype == np.complex128 and step[1].imag.any()
-        full, engine = _both_engines(n, method, lambda gates: list(gates) + [t_phase])
-        _assert_same_readout(full, engine)
