@@ -77,9 +77,10 @@ def cmd_verify(args) -> int:
         result = _load_document_file(args.circuit)
         if result.embedding is None:
             raise ValueError("document has no embedding; nothing to verify against")
-        for flag in ("n", "method", "target"):
+        for flag in ("n", "method", "odd_variant", "target"):
             if getattr(args, flag) is not None:
-                raise ValueError(f"--{flag} does not apply to --circuit; a document names its own")
+                name = flag.replace("_", "-")
+                raise ValueError(f"--{name} does not apply to --circuit; a document names its own")
         target = result.target_qubit
     elif args.n is None or args.method is None:
         raise ValueError("either --circuit or both --n and --method are required")
@@ -89,7 +90,8 @@ def cmd_verify(args) -> int:
     if n > _MAX_SWEEP_N:  # refused before a ladder is compiled for nothing
         raise ValueError(f"verification sweeps support n <= {_MAX_SWEEP_N}, got n={n}")
     if result is None:
-        result = decompose_cnz(DecompositionRequest(n, args.method, args.odd_variant, target))
+        variant = args.odd_variant or "single"
+        result = decompose_cnz(DecompositionRequest(n, args.method, variant, target))
     subset = None if (args.exhaustive or 2**n <= _SAMPLE_INPUTS) else _sample_bitstrings(n)
     report = verify_decomposition(result, target_qubit=target, bits_subset=subset)
     print(
@@ -249,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--n", type=int)
     p.add_argument("--method", choices=METHODS)
-    p.add_argument("--odd-variant", default="single", choices=ODD_VARIANTS)
+    p.add_argument("--odd-variant", choices=ODD_VARIANTS, help="with --n/--method (default: single)")
     p.add_argument(
         "--target",
         help="with --n/--method: 'z' (default) for the phase gate, 'x:<idx>' for an "

@@ -27,9 +27,11 @@ register plus the embedding that interprets it:
 Every controlled level swap is inlined as (H on the level pair, controlled
 phase, H again), so the two-particle tally is exactly the number of
 :class:`~ququint.core.TwoQuditCZ` gates in the circuit. The sparse table
-that verifies ladders, simulates documents and runs Grover searches runs
-each run of gates on at most three sites that only permutes basis states (a
-pair of such swaps, a Toffoli block) as the exact move of keys it is.
+that verifies ladders and simulates documents runs each run of gates on at
+most three sites that only permutes basis states (a pair of such swaps, a
+Toffoli block) as the exact move of keys it is, and every other gate as it
+is. The verifier builds, runs and scores its inputs one block at a time,
+and a Grover search runs only on a ladder it reads as exact.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -302,72 +303,31 @@ def decompose_cnz(request: DecompositionRequest) -> DecompositionResult:
 # ---------------------------------------------------------------------------
 # Exhaustive verification. Ladder circuits keep each basis input supported on
 # a handful of basis states at any moment, so the sweep never builds a dense
-# vector. ``_basis_rows`` owns the one block loop: it pushes the inputs
-# through the circuit ``_BLOCK`` at a time, each block one sparse table with
-# a row per live amplitude keyed by (input, flat index)
-# (``core._propagate_sparse``), and returns every input's rows as one table.
-# The circuit is planned once (``_plan``): every window of consecutive gates
-# on at most three sites whose product only permutes basis states and
-# multiplies phases runs as one move of keys, and the gates left over are
-# fused (``_fuse``). Each Toffoli block of the qubit ladder is such a window,
-# and so is each pair of controlled level swaps of the qutrit and ququint
+# vector. The circuit is planned once (``_plan``): every window of
+# consecutive gates on at most three sites whose product only permutes basis
+# states and multiplies phases runs as one move of keys, and every other gate
+# runs as it is. Each Toffoli block of the qubit ladder is such a window, and
+# so is each pair of controlled level swaps of the qutrit and ququint
 # ladders, so every phase ladder is moves only: its table keeps one row per
 # input and it verifies with zero error and leakage. An inversion keeps its
-# target's Hadamards as mixing gates. Start and expected indices are encoded
-# for every input at once (``EmbeddingMap.encode``), and per-input errors and
-# leakage are reduced over the table in one pass. A Grover search runs only
-# once this sweep reads its ladder as exactly the multi-controlled Z, and
-# ``simulate`` runs a document through the same plan; tests cross-check both
-# against the dense applier.
+# target's Hadamards as mixing gates. ``verify_decomposition`` is then one
+# loop over blocks of inputs: each block's bits are built, encoded with their
+# expected indices (``EmbeddingMap.encode``), pushed through the plan as one
+# sparse table with a row per live amplitude keyed by (input, flat index)
+# (``core._propagate_sparse``) and scored, so only one score per input
+# outlives its block. A Grover search runs only once this sweep reads its
+# ladder as exactly the multi-controlled Z, and ``simulate`` runs a document
+# through the same plan; tests cross-check both against the dense applier.
 # ---------------------------------------------------------------------------
 
-# Inputs propagated together. It bounds the table each step works on,
-# whatever n is, and keeps keys below _BLOCK * register.size. A phase ladder
-# keeps one row per input; each mixing gate left in a plan concatenates five
-# arrays the size of its table, so one table for all 2^14 inputs raised the
-# peak RSS of ``verify --n 14 --exhaustive --target x:13`` by 2-4 MiB on
-# every method (qubit 37.7 -> 39.8 MiB) and ran no faster (2-vCPU host).
+# Inputs propagated together, each bystander value of a qubit input counted
+# as one. It bounds the table each step works on, whatever n is, and keeps
+# keys below _BLOCK * register.size. A phase ladder keeps one row per input;
+# each mixing gate left in a plan concatenates five arrays the size of its
+# table, so one table for all 2^14 inputs raised the peak RSS of
+# ``verify --n 14 --exhaustive --target x:13`` by 2-4 MiB on every method
+# (qubit 37.7 -> 39.8 MiB) and ran no faster (2-vCPU host).
 _BLOCK = 1024
-
-
-class _Product(NamedTuple):
-    """Entries of a product of level-pair unitaries, not re-checked: each
-    factor is unitary within ``MATRIX_TOL``, their product may drift past it."""
-
-    alpha: complex
-    beta: complex
-    gamma: complex
-    delta: complex
-
-
-def _fuse(gates: list[QuditGate]) -> list[QuditGate]:
-    """Multiply each level-pair gate into the previous gate on its site when
-    that one is a level-pair gate on the same two levels. Only gates on other
-    sites lie between them, so the later gate commutes back to the earlier
-    one. This merges the qubit ladder's chains of T and H gates on one site
-    (433 -> 234 gates at n=10); the qutrit and ququint ladders have none."""
-    out: list[QuditGate] = []
-    last: dict[int, int] = {}  # site -> index in out of its last level-pair gate
-    for gate in gates:
-        if isinstance(gate, TwoQuditCZ):
-            last.pop(gate.site_a, None)
-            last.pop(gate.site_b, None)
-            out.append(gate)
-            continue
-        k = last.get(gate.site)
-        if k is not None and (out[k].i, out[k].j) == (gate.i, gate.j):
-            p, q = gate.u, out[k].u  # p after q
-            u = _Product(
-                p.alpha * q.alpha + p.beta * q.gamma,
-                p.alpha * q.beta + p.beta * q.delta,
-                p.gamma * q.alpha + p.delta * q.gamma,
-                p.gamma * q.beta + p.delta * q.delta,
-            )
-            out[k] = LevelPairGate(gate.site, gate.i, gate.j, u)
-        else:
-            last[gate.site] = len(out)
-            out.append(gate)
-    return out
 
 
 # Windows: runs of consecutive gates on at most three sites, whose local
@@ -399,26 +359,21 @@ def _plan(register: QuditRegister, gates: list[QuditGate]) -> list:
     entry per column of modulus within ``MATRIX_TOL`` of 1, every other
     entry at most ``_SNAP``) becomes one :class:`~ququint.core._Move`, or
     nothing when it is the identity; when no prefix is monomial, the first
-    gate is kept as it is. Each run of kept gates is fused (``_fuse``). A
-    qubit Toffoli block, a qutrit or ququint pair of controlled level swaps
-    and every phase gate become moves."""
+    gate is kept as it is. A qubit Toffoli block, a qutrit or ququint pair
+    of controlled level swaps and every phase gate become moves."""
     dims, strides = register.dims, register.strides
     steps: list = []
-    plain: list[QuditGate] = []
     g = 0
     while g < len(gates):
         sites, key = _window(dims, gates, g)
         length, delta, phase = _monomial_prefix(tuple(dims[s] for s in sites), key)
         if not length:
-            plain.append(gates[g])
-            g += 1
-            continue
-        steps += _fuse(plain)
-        plain = []
-        if delta is not None or phase is not None:
+            steps.append(gates[g])
+            length = 1
+        elif delta is not None or phase is not None:
             steps.append(_move(dims, strides, sites, delta, phase))
         g += length
-    return steps + _fuse(plain)
+    return steps
 
 
 def _window(dims, gates, g) -> tuple[list[int], tuple]:
@@ -536,46 +491,6 @@ class VerificationReport:
         return self.max_amplitude_error < STATE_TOL and self.max_leakage < STATE_TOL
 
 
-def _basis_rows(
-    register: QuditRegister, gates: list[QuditGate], starts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Live rows ``(input, index, amplitude)`` of the basis inputs at flat
-    indices ``starts``, pushed through ``gates`` ``_BLOCK`` inputs at a time;
-    ``input`` is the position in ``starts``, and rows come sorted by input,
-    then by flat index. Keys are numbered within a block, so they stay below
-    ``_BLOCK * register.size`` whatever the number of inputs. The block also
-    bounds the five table-sized arrays a mixing gate concatenates, which one
-    table for all 2^n inputs would grow with n."""
-    size, tables = register.size, []
-    for lo in range(0, len(starts), _BLOCK):
-        block = starts[lo : lo + _BLOCK]
-        keys, amps = _propagate_sparse(
-            register, gates, np.arange(len(block)) * size + block, np.ones(len(block))
-        )
-        tables.append((keys // size + lo, keys % size, amps))
-    return tuple(np.concatenate(column) for column in zip(*tables))
-
-
-def _scores(result, gates, starts, expects, signs):
-    """Amplitude error and leakage of each input, propagated through
-    ``gates`` (``result``'s circuit, fused) from flat indices ``starts``;
-    each input should end at ``expects`` with amplitude ``signs``."""
-    count = len(starts)
-    owner, index, amps = _basis_rows(result.circuit.register, gates, starts)
-    hit = index == expects[owner]
-    wanted = np.where(hit, signs[owner], 0.0)
-    errors = np.zeros(count)
-    np.maximum.at(errors, owner, np.abs(amps - wanted))
-    # an expected index that did not survive is a full miss
-    missed = np.ones(count, dtype=bool)
-    missed[owner[hit]] = False
-    errors[missed] = np.maximum(errors[missed], 1.0)
-    _, computational = result.embedding.decode(index)
-    prob = np.where(computational, 0.0, np.abs(amps) ** 2)
-    leaks = np.bincount(owner, weights=prob, minlength=count)
-    return errors, leaks
-
-
 def verify_decomposition(
     result: DecompositionResult,
     target_qubit: int | None = None,
@@ -605,38 +520,60 @@ def verify_decomposition(
     if target_qubit is not None and not 0 <= target_qubit < n:
         raise ValueError(f"target qubit {target_qubit} out of range")
     if bits_subset is None:
-        bits = _counting_bits(n)
+        subset, count = None, 2**n
     else:
         rows = [_parse_bits(bitstring, n) for bitstring in bits_subset]
         if not rows:
             raise ValueError("bits_subset names no input to check")
-        bits = np.array(rows, dtype=np.int64).reshape(len(rows), n)
-    expected = bits.copy()
-    if target_qubit is None:
-        signs = np.where(bits.all(axis=1), -1.0, 1.0)
-    else:
-        controls = np.delete(bits, target_qubit, axis=1).all(axis=1)
-        expected[controls, target_qubit] ^= 1
-        signs = np.ones(len(bits))
+        subset = np.array(rows, dtype=np.int64).reshape(len(rows), n)
+        count = len(subset)
     bystanders = (0, 1) if emap.bystander_sites else (0,)
+    width = len(bystanders)
+    register = result.circuit.register
+    size = register.size
+    plan = _plan(register, result.circuit.gates)
 
-    def encode(rows):  # one entry per (input, bystander), bystander innermost
-        return np.stack([emap.encode(rows, b) for b in bystanders], axis=1).ravel()
+    def encode(bits):  # one entry per (input, bystander), bystander innermost
+        return np.stack([emap.encode(bits, b) for b in bystanders], axis=1).ravel()
 
-    starts, expects = encode(bits), encode(expected)
-    signs = np.repeat(signs, len(bystanders))
+    # max(error, leakage) of each (input, bystander), in sweep order
+    scores = np.empty(count * width)
+    max_error = max_leak = 0.0
+    step = _BLOCK // width  # qubit inputs per block
+    for lo in range(0, count, step):
+        hi = min(count, lo + step)
+        bits = _counting_bits(n, lo, hi) if subset is None else subset[lo:hi]
+        expected = bits.copy()
+        if target_qubit is None:
+            signs = np.where(bits.all(axis=1), -1.0, 1.0)
+        else:
+            controls = np.delete(bits, target_qubit, axis=1).all(axis=1)
+            expected[controls, target_qubit] ^= 1
+            signs = np.ones(len(bits))
+        starts, expects, signs = encode(bits), encode(expected), np.repeat(signs, width)
+        m = len(starts)
+        keys, amps = _propagate_sparse(register, plan, np.arange(m) * size + starts, np.ones(m))
+        owner, index = np.divmod(keys, size)
+        hit = index == expects[owner]
+        errors = np.zeros(m)
+        np.maximum.at(errors, owner, np.abs(amps - np.where(hit, signs[owner], 0.0)))
+        # an expected index that did not survive is a full miss
+        missed = np.ones(m, dtype=bool)
+        missed[owner[hit]] = False
+        errors[missed] = np.maximum(errors[missed], 1.0)
+        _, computational = emap.decode(index)
+        prob = np.where(computational, 0.0, np.abs(amps) ** 2)
+        leaks = np.bincount(owner, weights=prob, minlength=m)
+        max_error = np.maximum(max_error, errors.max())  # a NaN stays a NaN
+        max_leak = np.maximum(max_leak, leaks.max())
+        np.maximum(errors, leaks, out=scores[lo * width : lo * width + m])
 
-    circuit = result.circuit
-    errors, leaks = _scores(result, _plan(circuit.register, circuit.gates), starts, expects, signs)
-
-    report = VerificationReport(
-        float(errors.max(initial=0.0)), float(leaks.max(initial=0.0)), len(starts), None
-    )
+    report = VerificationReport(float(max_error), float(max_leak), count * width, None)
     if not report.passed():
-        scores = np.maximum(errors, leaks)
         first = int(np.argmax(scores >= scores.max() - STATE_TOL))
-        row, bystander = divmod(first, len(bystanders))
-        report.worst_input = "".join(str(b) for b in bits[row].tolist()) + (
+        row, bystander = divmod(first, width)
+        bits = _counting_bits(n, row, row + 1)[0] if subset is None else subset[row]
+        report.worst_input = "".join(str(b) for b in bits.tolist()) + (
             f"+bystander{bystander}" if emap.bystander_sites else ""
         )
     return report

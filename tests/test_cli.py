@@ -181,7 +181,7 @@ class TestVerify:
         out = tmp_path / "doc.json"
         run_cli(capsys, "decompose", "--n", "3", "--method", "qutrit", "--out", str(out))
         for flags in (["--target", "x:0"], ["--n", "8"], ["--method", "qubit"],
-                      ["--n", "8", "--method", "qubit"]):
+                      ["--n", "8", "--method", "qubit"], ["--odd-variant", "neighbor"]):
             code, stdout, stderr = run_cli(capsys, "verify", "--circuit", str(out), *flags)
             assert (code, stdout) == (2, ""), flags
             assert stderr.startswith("error:"), flags

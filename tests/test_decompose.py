@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,7 @@ from ququint import (
     verify_decomposition,
 )
 from ququint import core
+from ququint.core import STATE_TOL
 from ququint.decompose import (
     _MAX_SWEEP_N,
     METHODS,
@@ -545,7 +547,8 @@ class TestVerificationFailures:
 class TestVerificationFusion:
     def test_fusion_accepts_near_unitary_runs(self):
         # each diag(1, 1 + 4.9e-13) passes the unitarity check, their
-        # product does not; verifying must not re-check fused products
+        # product does not; the plan runs the product as one move, which
+        # verifying must not re-check
         result = decompose_cnz_qubit(3)
         drift = TwoLevelUnitary(1, 0, 0, 1 + 4.9e-13)
         gates = result.circuit.gates + [LevelPairGate(0, 0, 1, drift)] * 3
@@ -556,6 +559,49 @@ class TestVerificationFusion:
         assert report.passed()
         assert report.max_amplitude_error == pytest.approx(1.47e-12, rel=1e-3)
         assert report.inputs_checked == 8
+
+
+class TestVerificationBlocks:
+    """Sweeps of more than one block of inputs, scored block by block."""
+
+    @pytest.mark.parametrize("make", [
+        # two bystanders per input: a block holds 512 inputs
+        lambda: without_centre(decompose_cnz_ququint(9, "neighbor")),
+        lambda: t_swapped_for_dagger(decompose_cnz_qubit(9), 3),
+    ], ids=["ququint-neighbor-drop-centre", "qubit-t-dagger"])
+    def test_blocks_match_inputs_scored_alone(self, make):
+        # ~1,500 inputs drawn with repeats: the last block is partial
+        result = make()
+        rng = np.random.default_rng(5)
+        subset = ["".join(map(str, row)) for row in rng.integers(0, 2, size=(1500, 9))]
+        report = verify_decomposition(result, bits_subset=subset)
+        alone = {bits: verify_decomposition(result, bits_subset=[bits]) for bits in set(subset)}
+        reports = [alone[bits] for bits in subset]
+        assert report.inputs_checked == sum(r.inputs_checked for r in reports)
+        errors = [r.max_amplitude_error for r in reports]
+        leaks = [r.max_leakage for r in reports]
+        assert abs(report.max_amplitude_error - max(errors)) <= 1e-14
+        assert abs(report.max_leakage - max(leaks)) <= 1e-14
+        scores = np.maximum(errors, leaks)
+        first = int(np.argmax(scores >= scores.max() - STATE_TOL))
+        assert report.worst_input is not None
+        assert report.worst_input == reports[first].worst_input
+
+    @pytest.mark.parametrize("target", [None, 13], ids=["z", "x:13"])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_sweep_memory_is_bounded(self, method, target):
+        # only one score per input outlives its block, so 2^14 inputs
+        # trace well under 2 MiB
+        result = decompose_cnz(DecompositionRequest(14, method, target_qubit=target))
+        verify_decomposition(result, target_qubit=target)  # warm the plan's caches
+        tracemalloc.start()
+        try:
+            report = verify_decomposition(result, target_qubit=target)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed() and report.inputs_checked == 2**14
+        assert peak < 2 * 2**20
 
 
 def with_cz_sites_swapped(result):
@@ -608,9 +654,9 @@ class TestLevelSwaps:
         assert merges == []
 
     def test_fused_qubit_ladder_merges_once_per_mixing_gate(self, merges):
-        # every Toffoli block runs as one move; the inversion keeps its
-        # target's two H's as mixing gates, and only they take the merge
-        # path (16 inputs, one block)
+        # every Toffoli block runs as one move, and the plan keeps the
+        # inversion target's two H's as they are, unfused: only they take
+        # the merge path (16 inputs, one block)
         result = decompose_cnz(DecompositionRequest(4, "qubit", target_qubit=3))
         mixing = [
             g for g in _plan(result.circuit.register, result.circuit.gates)

@@ -19,7 +19,6 @@ from ququint import (
     QuditRegister,
     TwoLevelUnitary,
     auto_iterations,
-    circuit_unitary,
     decompose_cnz,
     embed_basis_state,
     phase_shift,
@@ -28,7 +27,7 @@ from ququint import (
 )
 from ququint import grover
 from ququint.core import PAULI_X, STATE_TOL, _apply_gate_inplace
-from ququint.decompose import _MAX_SWEEP_N, METHODS, _fuse
+from ququint.decompose import _MAX_SWEEP_N, METHODS
 from ququint.embedding import ODD_VARIANTS, lift_single_qubit_gate, read_out
 from ququint.grover import BACKENDS, build_diffusion, build_oracle
 
@@ -379,12 +378,6 @@ class TestEngines:
         # outcome, qubit n=7 32); every search now runs on one engine
         report = run_grover(GroverSpec(n, "1" * n, method, iterations=1))
         assert report.success_probability == pytest.approx(analytic_success(n, 1), abs=1e-9)
-
-    def test_fused_qubit_ladder_keeps_its_unitary(self):
-        circuit = decompose_cnz(DecompositionRequest(4, "qubit")).circuit
-        fused = QuditCircuit(circuit.register, _fuse(circuit.gates))
-        assert len(fused) < len(circuit)
-        assert np.abs(circuit_unitary(fused) - circuit_unitary(circuit)).max() <= STATE_TOL
 
     def test_leaking_ladder_reports_the_same_leakage(self, monkeypatch):
         # a final Hadamard on the first work site: it leaves half of every

@@ -45,7 +45,6 @@ from ququint import (
 from ququint.cli import main
 from ququint.core import STATE_TOL, _propagate_sparse
 from ququint.decompose import T_DAGGER, T_GATE, _plan, _propagate_basis, _toffoli_network
-from ququint.decompose import _fuse
 
 angles = st.floats(0, 2 * np.pi)
 
@@ -216,24 +215,9 @@ def test_dense_applier_matches_kronecker_matrices(circuit):
 
 
 @given(circuits())
-def test_same_site_fusion_keeps_the_unitary(circuit):
-    fused = QuditCircuit(circuit.register, _fuse(circuit.gates))
-    assert len(fused) <= len(circuit)
-    assert np.abs(circuit_unitary(fused) - circuit_unitary(circuit)).max() <= STATE_TOL
-
-
-@given(circuits())
-def test_fused_sparse_propagation_matches_dense(circuit):
-    # the exhaustive verifier's route: fuse same-site runs once, then
-    # propagate every input through the fused gates
-    batched = batched_columns(circuit.register, _fuse(circuit.gates))
-    assert np.max(np.abs(batched - dense_columns(circuit))) < STATE_TOL
-
-
-@given(circuits())
 def test_planned_sparse_propagation_matches_dense(circuit):
-    # the route of verify, simulate and Grover: monomial windows as moves,
-    # the other gates fused, every input through the plan
+    # the route of verify and simulate: monomial windows as moves, every
+    # other gate as it is, every input through the plan
     plan = _plan(circuit.register, circuit.gates)
     batched = batched_columns(circuit.register, plan)
     assert np.max(np.abs(batched - dense_columns(circuit))) < STATE_TOL
