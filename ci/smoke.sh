@@ -98,10 +98,31 @@ size_limit() {
   done
 }
 
+# The n = 14 --probs table is the header, all 2^14 bitstrings in index order
+# and then leakage. The phase ladder keeps the all-ones input in place, so
+# that bitstring must read 1, and every other line, leakage included, 0.
+check_probs_table() {
+  local table="$1"
+  if [ "$(wc -l < "$table")" -ne 16386 ]; then
+    echo "simulate --probs: $(wc -l < "$table") lines, expected 16386" >&2; return 1
+  fi
+  if [ "$(grep -v ',0$' "$table")" != $'outcome,probability\n11111111111111,1' ]; then
+    echo "simulate --probs: lines not ending in ,0 other than the header and 1...1:" >&2
+    grep -v ',0$' "$table" | head -5 >&2; return 1
+  fi
+  if [ "$(sed -n 2p "$table")" != "00000000000000,0" ] \
+    || [ "$(sed -n 16385p "$table")" != "11111111111111,1" ] \
+    || [ "$(tail -n 1 "$table")" != "leakage,0" ]; then
+    echo "simulate --probs: the table is not in index order, then leakage,0" >&2; return 1
+  fi
+  echo "simulate --probs: 16386 lines, 11111111111111,1, leakage,0"
+}
+
 simulate() {
   local doc="$tmp/q14.json" big="$tmp/q22.json"
   timeout 60 python -m ququint decompose --n 14 --method qubit --out "$doc"
-  timeout 60 python -m ququint simulate "$doc" --input 11111111111111 --probs > /dev/null
+  timeout 60 python -m ququint simulate "$doc" --input 11111111111111 --probs > "$tmp/q14-probs.csv"
+  check_probs_table "$tmp/q14-probs.csv"
   timeout 60 python -m ququint simulate "$doc" --input 11111111111111 --shots 1000 --seed 1
   # the largest ququint document (n = 22, 5^11 amplitudes): --shots reads
   # out only the bitstrings its rows reach, here one

@@ -18,7 +18,6 @@ from ququint import (
     TwoQuditCZ,
     circuit_unitary,
     gate_matrix,
-    measure_all,
 )
 from ququint.core import apply_level_pair, apply_two_qudit_cz
 
@@ -73,4 +72,8 @@ amps = np.zeros(5, dtype=complex)
 amps[0] = amps[4] = 1 / np.sqrt(2)
 cat = StateVector(one_ququint, amps)
 print("\nexact probabilities of (|0>+|4>)/sqrt(2):", cat.probabilities())
-print("1000 shots with seed 7:", measure_all(cat, seed=7, shots=1000))
+# shots are one multinomial draw over those probabilities, as `simulate
+# --shots` draws them
+counts = np.random.default_rng(7).multinomial(1000, cat.probabilities())
+shots = {one_ququint.label_str(i): int(c) for i, c in enumerate(counts) if c}
+print("1000 shots with seed 7:", shots)

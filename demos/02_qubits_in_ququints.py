@@ -17,7 +17,6 @@ from ququint import (
     embed_basis_state,
     gate_matrix,
     lift_single_qubit_gate,
-    read_out,
 )
 from ququint.embedding import intra_ququint_cz
 
@@ -46,16 +45,14 @@ cz = intra_ququint_cz(0, emap)
 print("\nintra-site CZ is the single-site matrix:")
 print(np.real(gate_matrix(cz, emap.register)).astype(int))
 
-# --- read-out marginalizes levels back to bits ---------------------------
-probs = np.zeros(5)
-probs[2] = 1.0
-table = read_out(probs, emap)
-print("\ncertainty on level 2 reads out as:", table.probabilities, "leakage", table.leakage)
-
-probs = np.zeros(5)
-probs[4] = 1.0
-table = read_out(probs, emap)
-print("certainty on level 4 is pure leakage:", table.leakage)
+# --- read-out decodes levels back to bits --------------------------------
+# decode gives each register index's bitstring and whether it lies on the
+# computational levels; probability on any other level is leakage
+outcome, computational = emap.decode(np.arange(emap.register.size))
+print()
+for level in range(emap.register.size):
+    reads = format(int(outcome[level]), "02b") if computational[level] else "leakage"
+    print(f"level {level} reads out as {reads}")
 
 # --- odd qubit counts get one extra site ---------------------------------
 for variant in ("single", "neighbor"):

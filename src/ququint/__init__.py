@@ -25,7 +25,6 @@ from .core import (
     apply_gate,
     circuit_unitary,
     gate_matrix,
-    measure_all,
     phase_shift,
 )
 from .counts import CountRow, GateCountReport, count_table, emit_report
@@ -44,13 +43,10 @@ from .decompose import (
 from .embedding import (
     EmbeddingError,
     EmbeddingMap,
-    QubitReadout,
     QubitSlot,
-    decode_basis_label,
     default_embedding,
     embed_basis_state,
     lift_single_qubit_gate,
-    read_out,
 )
 from .grover import (
     GroverReport,
@@ -78,7 +74,6 @@ __all__ = [
     "GroverReport",
     "GroverSpec",
     "LevelPairGate",
-    "QubitReadout",
     "QubitSlot",
     "QuditCircuit",
     "QuditGate",
@@ -94,7 +89,6 @@ __all__ = [
     "build_cx",
     "circuit_unitary",
     "count_table",
-    "decode_basis_label",
     "decompose_cnz",
     "decompose_cnz_qubit",
     "decompose_cnz_ququint",
@@ -105,9 +99,7 @@ __all__ = [
     "gate_matrix",
     "lift_single_qubit_gate",
     "load_document",
-    "measure_all",
     "phase_shift",
-    "read_out",
     "reported_count",
     "run_grover",
     "save_document",

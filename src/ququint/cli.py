@@ -24,7 +24,7 @@ from .decompose import (
     decompose_cnz,
     verify_decomposition,
 )
-from .embedding import ODD_VARIANTS, _bit_labels, _parse_bits
+from .embedding import ODD_VARIANTS, OutcomeView, _parse_bits
 from .grover import BACKENDS, GroverSpec, run_grover
 from .serialize import CircuitDocument, _as_pair, _parse_json, load_document, save_document
 
@@ -43,7 +43,13 @@ def _load_document_file(path: str) -> CircuitDocument:
     return load_document(Path(path).read_text(encoding="utf-8"))
 
 
+def _check_odd_variant(args) -> None:
+    if args.odd_variant == "neighbor" and (args.method != "ququint" or args.n % 2 == 0):
+        raise ValueError("--odd-variant neighbor applies only to --method ququint with odd n")
+
+
 def cmd_decompose(args) -> int:
+    _check_odd_variant(args)
     request = DecompositionRequest(
         args.n, args.method, args.odd_variant, _parse_target(args.target)
     )
@@ -85,6 +91,7 @@ def cmd_verify(args) -> int:
     elif args.n is None or args.method is None:
         raise ValueError("either --circuit or both --n and --method are required")
     else:
+        _check_odd_variant(args)
         result, target = None, _parse_target("z" if args.target is None else args.target)
     n = args.n if result is None else result.embedding.qubit_count
     if n > _MAX_SWEEP_N:  # refused before a ladder is compiled for nothing
@@ -139,8 +146,7 @@ def _outcome_table(
     """Outcomes of the live rows and their probabilities: with an
     embedding, the qubit bitstrings the rows reach, sorted, then
     ``leakage``; without one, the level label of each row, in index order.
-    Each bitstring's weight sums its rows in row order, as ``read_out``
-    does."""
+    Each bitstring's weight sums its rows in row order."""
     probs = np.abs(amps) ** 2
     emap = document.embedding
     if emap is None:
@@ -160,6 +166,16 @@ def cmd_simulate(args) -> int:
     keys, amps = _propagate_sparse(
         circuit.register, _plan(circuit.register, circuit.gates), *_start_rows(args, document)
     )
+    emap = document.embedding
+    if args.probs and emap is not None:  # every bitstring in index order, then leakage
+        probs = np.abs(amps) ** 2
+        outcome, ok = emap.decode(keys)  # ok: on computational levels
+        table = np.bincount(outcome[ok], weights=probs[ok], minlength=2**emap.qubit_count)
+        print("outcome,probability")
+        for label, prob in zip(OutcomeView(table), table.tolist()):
+            print(f"{label},{prob:.12g}")
+        print(f"leakage,{float(probs[~ok].sum()):.12g}")
+        return 0
     outcomes, probs = _outcome_table(document, keys, amps)
     if args.shots is not None:
         # each entry (leakage included) holds the total weight of the register
@@ -173,22 +189,18 @@ def cmd_simulate(args) -> int:
                 print(f"{outcome},{count}")
         return 0
     print("outcome,probability")
-    if document.embedding is None:
-        for outcome, prob in zip(outcomes, probs):
-            if prob > 1e-12:
-                print(f"{outcome},{prob:.12g}")
-        return 0
-    # every bitstring, in index order, then leakage
-    reached = dict(zip(outcomes, probs))
-    for outcome in _bit_labels(document.embedding.qubit_count) + ("leakage",):
-        print(f"{outcome},{reached.get(outcome, 0.0):.12g}")
+    for outcome, prob in zip(outcomes, probs):
+        if prob > 1e-12:
+            print(f"{outcome},{prob:.12g}")
     return 0
 
 
 def cmd_grover(args) -> int:
+    _check_odd_variant(args)
     iterations = "auto" if args.iterations == "auto" else int(args.iterations)
     spec = GroverSpec(args.n, args.omega, args.method, iterations, args.odd_variant)
     report = run_grover(spec)
+    dist = report.distribution
     if args.report == "json":
         payload = {
             "n": report.n,
@@ -199,7 +211,7 @@ def cmd_grover(args) -> int:
             "topOutcome": report.top_outcome,
             "twoParticleGateCount": report.two_particle_gate_count,
             "leakage": report.leakage,
-            "distribution": report.distribution,
+            "distribution": dict(zip(dist, dist.probabilities.tolist())),
         }
         print(json.dumps(payload, indent=2))
     else:

@@ -566,18 +566,3 @@ def _sample_counts(probabilities, seed: int, shots: int) -> np.ndarray:
         raise ValueError(f"shots must be between 1 and 2^63 - 1, got {shots}")
     probs = np.asarray(probabilities, dtype=float)
     return np.random.default_rng(seed).multinomial(shots, probs / probs.sum())
-
-
-def measure_all(state: StateVector, seed: int, shots: int) -> dict[str, int]:
-    """Sample computational-basis outcomes.
-
-    Args:
-        state: State to measure.
-        seed: RNG seed; identical seeds give identical histograms.
-        shots: Number of samples, 1 to 2^63 - 1.
-
-    Returns:
-        Mapping from basis-label string to observed count, in index order.
-    """
-    counts = _sample_counts(state.probabilities(), seed, shots)
-    return {state.register.label_str(int(i)): int(counts[i]) for i in np.flatnonzero(counts)}

@@ -12,13 +12,15 @@ an :class:`EmbeddingMap`, which also understands two special roles:
 - *work sites*: sites with no mapped qubit at all (used by the borrowed-qubit
   ladder); they must start and end at level 0.
 
-Any probability left on a non-computational level at read-out is reported as
-leakage, never silently renormalized.
+:meth:`EmbeddingMap.decode` flags register indices off the computational
+levels; a read-out reports their probability as leakage, never silently
+renormalized. :class:`OutcomeView` shows an outcome array as bitstrings.
 """
 
 from __future__ import annotations
 
 import functools
+from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
 
@@ -257,54 +259,23 @@ def intra_ququint_cz(site: int, emap: EmbeddingMap) -> LevelPairGate:
     return LevelPairGate(site, 0, 3, PAULI_Z)
 
 
-def decode_basis_label(label, emap: EmbeddingMap) -> str | None:
-    """Qubit bitstring stored in a register basis label, or ``None`` if the
-    label has probability on a non-computational configuration.
+class OutcomeView(Mapping):
+    """Read-only ``{bitstring: probability}`` view of a qubit outcome array,
+    bitstring x (qubit 0 leftmost) at index x. Keys are formatted only while
+    iterating; a lookup takes only an n-character ``str`` of 0s and 1s."""
 
-    Bystander bits are dropped; work sites must sit at level 0. A label
-    whose length or levels do not fit the register raises ``ValueError``.
-    """
-    outcome, computational = emap.decode(emap.register.index(label))
-    if not computational:
-        return None
-    return format(int(outcome), f"0{emap.qubit_count}b")
+    def __init__(self, probabilities: np.ndarray):
+        self.probabilities = probabilities.view()
+        self.probabilities.flags.writeable = False
+        self._n = len(probabilities).bit_length() - 1
 
+    def __getitem__(self, key) -> float:
+        if not (isinstance(key, str) and len(key) == self._n and not key.strip("01")):
+            raise KeyError(key)
+        return self.probabilities.item(int(key, 2))
 
-@dataclass(frozen=True)
-class QubitReadout:
-    """Qubit-level measurement table plus unaccounted probability mass."""
+    def __iter__(self):
+        return map(f"{{:0{self._n}b}}".format, range(len(self.probabilities)))
 
-    probabilities: dict[str, float]
-    leakage: float
-
-    def top_outcome(self) -> str:
-        """The most probable bitstring; the first in ascending order on a tie."""
-        return max(self.probabilities, key=self.probabilities.__getitem__)
-
-
-@functools.lru_cache(maxsize=16)
-def _bit_labels(n: int) -> tuple[str, ...]:
-    """The 2^n qubit bitstrings in index order, qubit 0 leftmost. Built
-    once per n; the cache holds more sizes than the thirteen a search admits."""
-    return tuple(format(i, f"0{n}b") for i in range(2**n))
-
-
-def read_out(probabilities: np.ndarray, emap: EmbeddingMap) -> QubitReadout:
-    """Marginalize register outcome probabilities to qubit bitstrings.
-
-    Bystander bits are summed over; probability on any non-computational
-    configuration is returned as leakage. Only the nonzero entries are
-    decoded, so the cost follows the live support, not the register size.
-    """
-    probs = np.asarray(probabilities, dtype=float)
-    if probs.shape != (emap.register.size,):
-        raise ValueError(
-            f"probability vector has shape {probs.shape}, register size is "
-            f"{emap.register.size}"
-        )
-    live = np.flatnonzero(probs)
-    outcome, ok = emap.decode(live)  # ok: on computational levels
-    weights = probs[live]
-    n = emap.qubit_count
-    table = np.bincount(outcome[ok], weights=weights[ok], minlength=2**n)
-    return QubitReadout(dict(zip(_bit_labels(n), table.tolist())), float(weights[~ok].sum()))
+    def __len__(self) -> int:
+        return len(self.probabilities)

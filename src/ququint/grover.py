@@ -35,7 +35,7 @@ from .decompose import (
     decompose_cnz,
     verify_decomposition,
 )
-from .embedding import ODD_VARIANTS, QubitReadout, _bit_labels, _parse_bits
+from .embedding import ODD_VARIANTS, OutcomeView, _parse_bits
 
 BACKENDS = ("reference",) + METHODS
 
@@ -133,7 +133,8 @@ class GroverSpec:
 
 @dataclass
 class GroverReport:
-    """Outcome of one simulated search run."""
+    """Outcome of one simulated search run. ``distribution`` is a read-only
+    :class:`OutcomeView` of the search's outcome array, not a copy."""
 
     n: int
     omega: str
@@ -143,7 +144,7 @@ class GroverReport:
     top_outcome: str
     two_particle_gate_count: int
     leakage: float
-    distribution: dict[str, float]
+    distribution: OutcomeView
 
 
 def _layers(steps: list[Step], n: int) -> list[np.ndarray]:
@@ -245,15 +246,14 @@ def run_grover(spec: GroverSpec) -> GroverReport:
         per_count = result.two_particle_gate_count
     k = auto_iterations(n) if spec.iterations == "auto" else int(spec.iterations)
     probs = _search(n, spec.omega, k)
-    readout = QubitReadout(dict(zip(_bit_labels(n), probs.tolist())), 0.0)
     return GroverReport(
         n=n,
         omega=spec.omega,
         method=spec.method,
         iterations=k,
-        success_probability=readout.probabilities[spec.omega],
-        top_outcome=readout.top_outcome(),
+        success_probability=float(probs[int(spec.omega, 2)]),
+        top_outcome=format(int(np.argmax(probs)), f"0{n}b"),  # the first on a tie
         two_particle_gate_count=k * 2 * per_count,
-        leakage=readout.leakage,
-        distribution=readout.probabilities,
+        leakage=0.0,
+        distribution=OutcomeView(probs),
     )

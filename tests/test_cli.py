@@ -22,7 +22,7 @@ from ququint import cli, core, decompose
 from ququint.cli import _outcome_table, main
 from ququint.core import _propagate_sparse, _sample_counts
 from ququint.decompose import _WINDOW_SIZE, _plan
-from ququint.embedding import read_out
+from readout import dense_read_out
 
 
 def run_cli(capsys, *argv):
@@ -412,9 +412,9 @@ def test_shots_draw_what_the_full_table_drew(n, method, variant, target):
         outcomes, probs = _outcome_table(document, keys, amps)
         dense = np.zeros(register.size)
         dense[keys] = np.abs(amps) ** 2
-        full = read_out(dense, emap)
-        every = sorted(full.probabilities) + ["leakage"]
-        weights = [full.probabilities[o] for o in every[:-1]] + [full.leakage]
+        table, leakage = dense_read_out(dense, emap)
+        every = [format(x, f"0{n}b") for x in range(2**n)] + ["leakage"]
+        weights = table.tolist() + [leakage]
         for seed in range(20):
             live = _sample_counts(probs, seed, 1000)
             drawn = _sample_counts(weights, seed, 1000)
@@ -512,6 +512,37 @@ class TestRawLevelInput:
         code, stdout, stderr = run_cli(capsys, "simulate", str(doc), "--input", label, "--probs")
         assert (code, stdout) == (2, "")
         assert stderr.startswith("error: ") and stderr.count("\n") == 1
+
+
+class TestOddVariant:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--n", "5", "--method", "qutrit"],
+            ["verify", "--n", "5", "--method", "qubit", "--exhaustive"],
+            ["verify", "--n", "4", "--method", "ququint"],
+            ["grover", "--n", "4", "--method", "ququint", "--omega", "1111"],
+            ["grover", "--n", "5", "--method", "reference", "--omega", "11111"],
+            ["grover", "--n", "5", "--method", "qutrit", "--omega", "11111"],
+            ["decompose", "--n", "5", "--method", "qubit"],
+            ["decompose", "--n", "6", "--method", "ququint"],
+        ],
+        ids=" ".join,
+    )
+    def test_neighbor_refused_without_an_odd_ququint_layout(self, capsys, argv):
+        code, stdout, stderr = run_cli(capsys, *argv, "--odd-variant", "neighbor")
+        assert (code, stdout) == (2, "")
+        assert stderr == "error: --odd-variant neighbor applies only to --method ququint with odd n\n"
+
+    def test_neighbor_accepted_on_odd_ququint_and_by_count(self, capsys):
+        for argv in (
+            ["verify", "--n", "5", "--method", "ququint"],
+            ["grover", "--n", "5", "--method", "ququint", "--omega", "11111"],
+            ["decompose", "--n", "5", "--method", "ququint"],
+            ["count", "--n-range", "2..6"],
+        ):
+            code, stdout, _ = run_cli(capsys, *argv, "--odd-variant", "neighbor")
+            assert code == 0 and stdout, argv
 
 
 class TestGrover:

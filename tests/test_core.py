@@ -17,9 +17,8 @@ from ququint import (
     apply_gate,
     circuit_unitary,
     gate_matrix,
-    measure_all,
 )
-from ququint.core import IDENTITY, apply_level_pair, apply_two_qudit_cz
+from ququint.core import IDENTITY, _sample_counts, apply_level_pair, apply_two_qudit_cz
 
 Q1 = QuditRegister((5,))
 Q2 = QuditRegister((5, 5))
@@ -235,9 +234,12 @@ class TestCircuitUnitary:
 
 
 class TestMeasurement:
+    """``_sample_counts``, the one multinomial draw behind ``simulate --shots``."""
+
     def test_deterministic_state(self):
         state = StateVector.basis_state(Q1, (0,))
-        assert measure_all(state, seed=123, shots=100) == {"0": 100}
+        counts = _sample_counts(state.probabilities(), seed=123, shots=100)
+        assert counts.tolist() == [100, 0, 0, 0, 0]
 
     def test_exact_probabilities_without_sampling(self):
         amps = np.zeros(5, dtype=complex)
@@ -249,29 +251,30 @@ class TestMeasurement:
 
     def test_seed_determinism(self):
         rng = np.random.default_rng(11)
-        state = random_state(rng, Q2)
-        assert measure_all(state, 7, 500) == measure_all(state, 7, 500)
+        probs = random_state(rng, Q2).probabilities()
+        assert np.array_equal(_sample_counts(probs, 7, 500), _sample_counts(probs, 7, 500))
+        assert not np.array_equal(_sample_counts(probs, 7, 500), _sample_counts(probs, 8, 500))
 
     def test_shots_validated(self):
         with pytest.raises(ValueError):
-            measure_all(StateVector.basis_state(Q1, (0,)), 0, 0)
+            _sample_counts(StateVector.basis_state(Q1, (0,)).probabilities(), 0, 0)
 
     def test_counts_sum_to_shots_on_live_labels(self):
         rng = np.random.default_rng(3)
         amps = np.zeros(Q2.size, dtype=complex)
         amps[rng.choice(Q2.size, size=6, replace=False)] = rng.normal(size=6) + 1j
-        state = StateVector(Q2, amps / np.linalg.norm(amps))
-        live = {Q2.label_str(int(i)) for i in np.flatnonzero(state.probabilities())}
-        counts = measure_all(state, 5, 10_000)
-        assert set(counts) <= live and len(counts) > 1
-        assert sum(counts.values()) == 10_000
-        assert list(counts) == sorted(counts)  # index order
+        probs = StateVector(Q2, amps / np.linalg.norm(amps)).probabilities()
+        counts = _sample_counts(probs, 5, 10_000)
+        drawn = set(np.flatnonzero(counts).tolist())
+        assert drawn <= set(np.flatnonzero(probs).tolist()) and len(drawn) > 1
+        assert counts.sum() == 10_000
 
     def test_shot_count_up_to_int64(self):
-        state = StateVector.basis_state(Q1, (3,))
-        assert measure_all(state, 0, 2**63 - 1) == {"3": 2**63 - 1}
+        probs = StateVector.basis_state(Q1, (3,)).probabilities()
+        counts = _sample_counts(probs, 0, 2**63 - 1)
+        assert counts.dtype == np.int64 and counts.tolist() == [0, 0, 0, 2**63 - 1, 0]
         with pytest.raises(ValueError, match="shots"):
-            measure_all(state, 0, 2**63)
+            _sample_counts(probs, 0, 2**63)
 
 
 REGISTERS = [

@@ -4,21 +4,22 @@ import pytest
 from ququint import (
     HADAMARD,
     PAULI_X,
+    CircuitDocument,
     DecompositionRequest,
     EmbeddingError,
     EmbeddingMap,
     QubitSlot,
+    QuditCircuit,
     QuditRegister,
     StateVector,
     TwoLevelUnitary,
-    decode_basis_label,
     decompose_cnz,
     default_embedding,
     embed_basis_state,
     gate_matrix,
     lift_single_qubit_gate,
-    read_out,
 )
+from ququint.cli import _outcome_table
 from ququint.core import apply_level_pair
 from ququint.embedding import intra_ququint_cz
 
@@ -188,40 +189,43 @@ class TestIntraQuquintCZ:
             intra_ququint_cz(2, emap)
 
 
+def cli_table(emap, probabilities: dict) -> dict:
+    """The CLI's outcome table of register rows ``{label: probability}``:
+    the bitstrings the rows reach, then ``leakage``."""
+    keys = np.array([emap.register.index(label) for label in probabilities], dtype=np.int64)
+    amps = np.sqrt(np.array(list(probabilities.values())))
+    document = CircuitDocument(QuditCircuit(emap.register), emap)
+    return dict(zip(*_outcome_table(document, keys, amps)))
+
+
+def decoded(label, emap):
+    """The bitstring ``emap.decode`` reads from one basis label, or None off
+    the computational levels."""
+    outcome, computational = emap.decode(emap.register.index(label))
+    return format(int(outcome), f"0{emap.qubit_count}b") if computational else None
+
+
 class TestReadOut:
     def test_level_two_decodes_to_10(self):
         emap = default_embedding(2)
-        probs = np.zeros(5)
-        probs[2] = 1.0
-        table = read_out(probs, emap)
-        assert table.probabilities["10"] == 1.0
-        assert table.leakage == 0.0
+        assert cli_table(emap, {(2,): 1.0}) == {"10": 1.0, "leakage": 0.0}
 
     def test_anc_level_is_pure_leakage(self):
         emap = default_embedding(2)
-        probs = np.zeros(5)
-        probs[4] = 1.0
-        table = read_out(probs, emap)
-        assert table.leakage == 1.0
-        assert all(p == 0 for p in table.probabilities.values())
+        assert cli_table(emap, {(4,): 1.0}) == {"leakage": 1.0}
 
     def test_uniform_over_computational_levels(self):
         emap = default_embedding(2)
-        probs = np.array([0.25, 0.25, 0.25, 0.25, 0.0])
-        table = read_out(probs, emap)
-        assert all(
-            table.probabilities[b] == pytest.approx(0.25)
-            for b in ("00", "01", "10", "11")
-        )
+        table = cli_table(emap, {(level,): 0.25 for level in range(4)})
+        assert table == {"00": 0.25, "01": 0.25, "10": 0.25, "11": 0.25, "leakage": 0.0}
 
     def test_bystander_is_marginalized(self):
         emap = default_embedding(3, "neighbor")
-        probs = np.zeros(25)
-        probs[emap.register.index((3, 2))] = 0.5  # bystander 0
-        probs[emap.register.index((3, 3))] = 0.5  # bystander 1
-        table = read_out(probs, emap)
-        assert table.probabilities["111"] == pytest.approx(1.0)
-        assert table.leakage == 0.0
+        # the last site's low bit is the bystander: 0 at level 2, 1 at level 3
+        table = cli_table(emap, {(3, 2): 0.5, (3, 3): 0.5})
+        assert table.keys() == {"111", "leakage"}
+        assert table["111"] == pytest.approx(1.0)
+        assert table["leakage"] == 0.0
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_round_trip(self, n):
@@ -232,17 +236,13 @@ class TestReadOut:
             bits = "".join(str(b) for b in rng.integers(0, 2, size=n))
             for bystander in (0, 1) if emap.bystander_sites else (0,):
                 label = embed_basis_state(bits, emap, bystander)
-                probs = np.zeros(emap.register.size)
-                probs[emap.register.index(label)] = 1.0
-                table = read_out(probs, emap)
-                assert table.probabilities[bits] == 1.0
-                assert table.leakage == 0.0
-                assert decode_basis_label(label, emap) == bits
+                assert cli_table(emap, {label: 1.0}) == {bits: 1.0, "leakage": 0.0}
+                assert decoded(label, emap) == bits
 
     def test_decode_rejects_working_levels(self):
         emap = default_embedding(5, "single")
-        assert decode_basis_label((4, 0, 0), emap) is None
-        assert decode_basis_label((0, 0, 2), emap) is None
+        assert decoded((4, 0, 0), emap) is None
+        assert decoded((0, 0, 2), emap) is None
 
 
 def codec_layout(n, layout):
@@ -301,9 +301,8 @@ class TestCodec:
         for i in range(size):
             label = emap.register.label(i)
             expected = label_oracle(label, emap)
-            assert decode_basis_label(label, emap) == expected
-            decoded = format(outcome[i], f"0{n}b") if computational[i] else None
-            assert decoded == expected
+            assert decoded(label, emap) == expected
+            assert (format(outcome[i], f"0{n}b") if computational[i] else None) == expected
 
     def test_encode_rejects_bad_bystander(self):
         with pytest.raises(ValueError, match="bystander"):

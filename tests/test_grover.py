@@ -1,6 +1,7 @@
 import cmath
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,8 +29,9 @@ from ququint import (
 from ququint import grover
 from ququint.core import PAULI_X, STATE_TOL, _apply_gate_inplace
 from ququint.decompose import _MAX_SWEEP_N, METHODS
-from ququint.embedding import ODD_VARIANTS, lift_single_qubit_gate, read_out
+from ququint.embedding import ODD_VARIANTS, lift_single_qubit_gate
 from ququint.grover import BACKENDS, build_diffusion, build_oracle
+from readout import dense_read_out
 
 
 def analytic_success(n, k):
@@ -281,6 +283,53 @@ class TestMethodAgnosticism:
         assert report.two_particle_gate_count == 0
 
 
+def _bad_keys(n):
+    """Keys that are not n-character strings of 0s and 1s; those of length n
+    are ones ``int(key, 2)`` alone would accept."""
+    return ["0b01", "1_0", " 011", "+011", "0" * (n + 1), "1" * (n - 1), b"011", 3, None] + [
+        head + "1" * (n - len(head)) for head in ("0b", "1_", " ", "+", "\uff11") if len(head) <= n
+    ]
+
+
+class TestDistributionView:
+    @pytest.mark.parametrize("method", BACKENDS)
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_view_reads_the_outcome_array(self, n, method):
+        variant = "neighbor" if method == "ququint" and n % 2 else "single"
+        omega = ("10" * n)[:n]
+        report = run_grover(GroverSpec(n, omega, method, odd_variant=variant))
+        view, probs = report.distribution, grover._search(n, omega, report.iterations)
+        labels = [format(x, f"0{n}b") for x in range(2**n)]
+        assert list(view) == list(view.keys()) == labels and len(view) == 2**n
+        assert dict(view) == {format(x, f"0{n}b"): p for x, p in enumerate(probs.tolist())}
+        assert omega in view and view.get(omega) == report.success_probability
+        assert view[labels[-1]] == probs[-1] and type(view[omega]) is float
+        for key in _bad_keys(n):
+            assert key not in view and view.get(key, "absent") == "absent", key
+            with pytest.raises(KeyError):
+                view[key]
+        with pytest.raises(TypeError):
+            view[omega] = 1.0
+        with pytest.raises(ValueError):
+            view.probabilities[0] = 1.0
+        assert report.top_outcome == labels[int(np.argmax(probs))] == omega
+
+    def test_report_memory_is_bounded(self):
+        # the report holds its 2^14 float64 outcome array (0.125 MiB) and no
+        # bitstring per outcome, which took 0.77 MiB as a dict of 2^14 keys
+        spec = GroverSpec(14, "1" * 14, "reference")
+        run_grover(spec)  # warm-up
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            report = run_grover(spec)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held < 0.4 * 2**20, held
+        assert report.top_outcome == "1" * 14
+
+
 def _backend(n, method, variant="single"):
     """Embedding and ladder gates of a backend: the compiled ladder's, or
     for the reference one two-level site per qubit and no ladder."""
@@ -292,10 +341,11 @@ def _backend(n, method, variant="single"):
 
 
 def _full_register_run(emap, ladder, omega, k):
-    """Read-out of one search on a register-sized array, independent of
-    ``run_grover``: every lifted one-qubit step and every ladder gate through
-    the in-place stride applier, and for the reference (``ladder`` None) a
-    numpy sign flip on |1...1>."""
+    """Qubit outcome probabilities and leakage (:func:`dense_read_out`) of
+    one search on a register-sized array, independent of ``run_grover``:
+    every lifted one-qubit step and every ladder gate through the in-place
+    stride applier, and for the reference (``ladder`` None) a numpy sign
+    flip on |1...1>."""
     register, n = emap.register, emap.qubit_count
     arr = np.zeros(register.size, dtype=complex)
     arr[0] = 1.0
@@ -311,14 +361,14 @@ def _full_register_run(emap, ladder, omega, k):
             gates = ladder
         for gate in gates:
             _apply_gate_inplace(arr, register.dims, gate)
-    return read_out(np.abs(arr) ** 2, emap)
+    return dense_read_out(np.abs(arr) ** 2, emap)
 
 
 def _assert_same_distribution(full, report):
-    assert full.probabilities.keys() == report.distribution.keys()
-    for key, p in full.probabilities.items():
-        assert abs(report.distribution[key] - p) <= STATE_TOL, key
-    assert full.leakage <= STATE_TOL and report.leakage == 0.0
+    table, leakage = full
+    assert len(report.distribution) == len(table)
+    assert np.abs(np.array(list(report.distribution.values())) - table).max() <= STATE_TOL
+    assert leakage <= STATE_TOL and report.leakage == 0.0
 
 
 def _compile_with(extra):
@@ -387,7 +437,7 @@ class TestEngines:
             emap, ladder = _backend(n, "qubit")
             leak = [LevelPairGate(emap.work_sites[0], 0, 1, HADAMARD)]
             full = _full_register_run(emap, list(ladder) + leak, "1" * n, auto_iterations(n))
-            assert full.leakage > 0.5
+            assert full[1] > 0.5
             check = _check_with(leak, n, "qubit")
             assert check.max_leakage == pytest.approx(0.5, abs=STATE_TOL)
             with monkeypatch.context() as patch, pytest.raises(
@@ -405,7 +455,7 @@ class TestEngines:
         theta = 1.25e-5
         u = TwoLevelUnitary(math.cos(theta), -math.sin(theta), math.sin(theta), math.cos(theta))
         leak = [LevelPairGate(0, 1, 2, u)]
-        full = [_full_register_run(emap, list(ladder) + leak, "10110", k).leakage for k in (1, 2, 3)]
+        full = [_full_register_run(emap, list(ladder) + leak, "10110", k)[1] for k in (1, 2, 3)]
         assert full[0] < STATE_TOL and full[1] < STATE_TOL < full[2]
         check = _check_with(leak, 5, "qutrit")
         assert check.max_leakage == pytest.approx(math.sin(theta) ** 2, rel=1e-6)

@@ -1,8 +1,8 @@
 """Property tests on random mixed-radix circuits: the sparse basis
 propagator (gate by gate, and through a plan of monomial windows run as
 moves of keys), the dense stride applier and the Kronecker matrices agree,
-same-site fusion keeps the unitary, ``simulate`` prints what the dense route
-reads out, and documents round-trip byte for byte."""
+``simulate`` prints what the dense route reads out, and documents
+round-trip byte for byte."""
 
 import cmath
 import contextlib
@@ -38,13 +38,13 @@ from ququint import (
     embed_basis_state,
     load_document,
     phase_shift,
-    read_out,
     save_document,
     verify_decomposition,
 )
 from ququint.cli import main
 from ququint.core import STATE_TOL, _propagate_sparse
 from ququint.decompose import T_DAGGER, T_GATE, _plan, _propagate_basis, _toffoli_network
+from readout import dense_read_out
 
 angles = st.floats(0, 2 * np.pi)
 
@@ -265,8 +265,8 @@ def printed_probs(document, source):
 @given(circuits(), st.booleans(), st.data())
 def test_simulate_prints_the_dense_read_out(circuit, embedded, data):
     """The CLI runs the sparse table; the oracle is the stride applier, then
-    ``read_out`` with an embedding or the labels above 1e-12 without one.
-    Both runs start from a basis input and from a random state file."""
+    ``dense_read_out`` with an embedding or the labels above 1e-12 without
+    one. Both runs start from a basis input and from a random state file."""
     register = circuit.register
     emap = data.draw(embeddings(register)) if embedded else None
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
@@ -289,8 +289,9 @@ def test_simulate_prints_the_dense_read_out(circuit, embedded, data):
         if emap is None:
             expected = {register.label_str(i): p for i, p in enumerate(probs) if p > 1e-12}
         else:
-            table = read_out(probs, emap)
-            expected = {**table.probabilities, "leakage": table.leakage}
+            table, leakage = dense_read_out(probs, emap)
+            n = emap.qubit_count
+            expected = {format(x, f"0{n}b"): p for x, p in enumerate(table)} | {"leakage": leakage}
         printed = printed_probs(CircuitDocument(circuit, emap), source)
         assert printed.keys() == expected.keys()
         assert all(abs(printed[o] - p) <= 1e-12 for o, p in expected.items())
