@@ -17,12 +17,13 @@ else
 fi
 
 # Every report must read leakage 0, the whole distribution of the
-# reference backend's search for the same omega, and a success probability
-# within 1e-11 of sin^2((2k+1) asin(2^(-n/2))) for its k iterations. Every
-# backend runs the same search once its compiled ladder verifies as exactly
-# the multi-controlled Z, so the comparison with the reference shows only
-# that each ladder was admitted; the analytic formula is the only check of
-# the search itself.
+# reference backend's search for the same omega, a success probability
+# within 1e-13 of sin^2((2k+1) asin(2^(-n/2))) for its k iterations, and one
+# value on all 2^n - 1 unmarked outcomes, which the search treats alike.
+# Every backend runs the same search once its compiled ladder verifies as
+# exactly the multi-controlled Z, so the comparison with the reference shows
+# only that each ladder was admitted; the analytic formula and the equal
+# unmarked outcomes are the checks of the search itself.
 large_search() {
   for method in reference qubit qutrit ququint; do
     timeout 60 python -m ququint grover --n 14 --method "$method" --omega 10101010101010 --report json > "$tmp/n14-$method.json"
@@ -48,12 +49,18 @@ for n, methods in ((14, ("qubit", "qutrit", "ququint")), (13, ("ququint",))):
             )
         k = report["iterations"]
         analytic = math.sin((2 * k + 1) * math.asin(2 ** (-n / 2))) ** 2
-        if abs(report["successProbability"] - analytic) > 1e-11:
+        if abs(report["successProbability"] - analytic) > 1e-13:
             sys.exit(
                 f"n={n} {method}: success probability {report['successProbability']!r} "
                 f"after {k} iterations, analytic {analytic!r}"
             )
-    print(f"n={n}: {', '.join(methods)} match the reference with zero leakage and the analytic success")
+        unmarked = {p for x, p in report["distribution"].items() if x != report["omega"]}
+        if len(unmarked) != 1:
+            sys.exit(f"n={n} {method}: the unmarked outcomes read {len(unmarked)} values, not one")
+    print(
+        f"n={n}: {', '.join(methods)} match the reference with zero leakage, the analytic "
+        "success and one unmarked value"
+    )
 PY
 }
 

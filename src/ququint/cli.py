@@ -200,7 +200,6 @@ def cmd_grover(args) -> int:
     iterations = "auto" if args.iterations == "auto" else int(args.iterations)
     spec = GroverSpec(args.n, args.omega, args.method, iterations, args.odd_variant)
     report = run_grover(spec)
-    dist = report.distribution
     if args.report == "json":
         payload = {
             "n": report.n,
@@ -211,7 +210,7 @@ def cmd_grover(args) -> int:
             "topOutcome": report.top_outcome,
             "twoParticleGateCount": report.two_particle_gate_count,
             "leakage": report.leakage,
-            "distribution": dict(zip(dist, dist.probabilities.tolist())),
+            "distribution": dict(report.distribution.items()),
         }
         print(json.dumps(payload, indent=2))
     else:

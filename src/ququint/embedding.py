@@ -20,7 +20,7 @@ renormalized. :class:`OutcomeView` shows an outcome array as bitstrings.
 from __future__ import annotations
 
 import functools
-from collections.abc import Mapping
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
 from enum import Enum
 
@@ -279,3 +279,22 @@ class OutcomeView(Mapping):
 
     def __len__(self) -> int:
         return len(self.probabilities)
+
+    def items(self) -> ItemsView:
+        return _OutcomeItems(self)
+
+    def values(self) -> ValuesView:
+        return _OutcomeValues(self)
+
+
+class _OutcomeItems(ItemsView):
+    """Items iterated as the keys zipped with the array's floats, with no
+    per-key lookup; membership and set operations stay ``ItemsView``'s."""
+
+    def __iter__(self):
+        return zip(self._mapping, self._mapping.probabilities.tolist())
+
+
+class _OutcomeValues(ValuesView):
+    def __iter__(self):
+        return iter(self._mapping.probabilities.tolist())

@@ -15,9 +15,12 @@ Backends differ only in where that multi-controlled Z comes from:
   ``verify_decomposition`` reads it as exactly the multi-controlled Z on
   every embedded basis input (amplitude error and leakage both 0).
 
-Every backend then runs the same search with the exact phase flip on a real
-2^n vector (:func:`_search`), so all report the same outcome distribution
-with zero leakage; only the two-particle gate count differs.
+Every backend then runs the same search (:func:`_search`), so all report the
+same outcome distribution with zero leakage; only the two-particle gate count
+differs. The search applies each iteration as the two reflections its steps
+equal, 1 - 2|omega><omega| and 1 - 2|s><s| with |s> the uniform state, as
+``TestOracle::test_flips_only_omega`` and
+``TestDiffusion::test_is_reflection_about_uniform_state`` check.
 """
 
 from __future__ import annotations
@@ -147,72 +150,23 @@ class GroverReport:
     distribution: OutcomeView
 
 
-def _layers(steps: list[Step], n: int) -> list[np.ndarray]:
-    """The layers of one-qubit steps between the multi-controlled Zs of a
-    step list, each an (n, 2, 2) stack: the product of qubit q's steps in
-    the layer, in order, at q (the identity where there are none)."""
-    layers, identity = [], (1 + 0j, 0j, 0j, 1 + 0j)
-    entries = [identity] * n
-    for step in steps + [("cnz",)]:
-        if step[0] == "cnz":
-            layers.append(np.array(entries, dtype=np.complex128).reshape(n, 2, 2))
-            entries = [identity] * n
-            continue
-        _, q, u = step
-        a, b, c, d = entries[q]  # u after (a b / c d)
-        entries[q] = (
-            u.alpha * a + u.beta * c,
-            u.alpha * b + u.beta * d,
-            u.gamma * a + u.delta * c,
-            u.gamma * b + u.delta * d,
-        )
-    return layers
-
-
-def _kron(stack: np.ndarray) -> np.ndarray:
-    """Kronecker product of a stack of square matrices, the first one the
-    most significant, by broadcasting one factor at a time onto the product
-    of those after it (the long axis innermost)."""
-    m = stack[-1]
-    for u in stack[-2::-1]:
-        m = (u[:, None, :, None] * m[None, :, None, :]).reshape(len(u) * len(m), -1)
-    return m
-
-
-def _compile(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A layer's action on the 2^n vector. It is a tensor product of one 2x2
-    unitary per qubit, so it splits into two dense factors, A on qubits
-    0..h-1 and B on qubits h..n-1 (h = n // 2): it sends the vector, viewed
-    as a 2^h x 2^(n-h) matrix V, to A V B^T."""
-    h = len(stack) // 2
-    return _kron(stack[:h]), _kron(stack[h:]).T
-
-
 def _search(n: int, omega: str, k: int) -> np.ndarray:
     """Outcome probabilities, bitstring x at index x (qubit 0 most
     significant), after the Hadamard layer and ``k`` iterations with the
-    exact multi-controlled Z.
-
-    The search runs on a real 2^n vector, viewed as a 2^h x 2^(n-h) matrix
-    V (h = n // 2). Each multi-controlled Z negates the entry of |1...1>,
-    the last of V; each layer of one-qubit steps between two of them is
-    A V B^T (:func:`_compile`). Every layer is a product of H and X, so
-    real, and so is the vector: each layer is two real matrix products.
+    exact multi-controlled Z, on a real 2^n vector. The oracle
+    1 - 2|omega><omega| (``TestOracle::test_flips_only_omega``) negates
+    omega's entry; the diffusion 1 - 2|s><s|
+    (``TestDiffusion::test_is_reflection_about_uniform_state``) subtracts
+    twice the mean from every entry. Each costs O(2^n);
+    ``TestSearchMatchesTheCircuit`` compares the result with the circuit's
+    steps run gate by gate.
     """
-    iteration = build_oracle(omega, n) + build_diffusion(n)
-    # the layers around the two Zs of an iteration, with the one-qubit steps
-    # of consecutive iterations joined: first, mid, wrap, mid, last
-    layers = _layers([("u", q, HADAMARD) for q in range(n)] + iteration * 2, n)
-    first, mid, wrap, last = (_compile(layers[i].real) for i in (0, 1, 2, 4))
-    a, bt = first
-    v = np.zeros((len(a), len(bt)))
-    v[0, 0] = 1.0  # |0...0>
-    v = a @ v @ bt
-    for i in range(1, k + 1):
-        for a, bt in (mid, wrap if i < k else last):
-            v[-1, -1] = -v[-1, -1]
-            v = a @ v @ bt
-    return (np.abs(v) ** 2).ravel()
+    v = np.full(2**n, 2.0 ** (-n / 2))  # H on every qubit of |0...0>
+    marked = int(omega, 2)
+    for _ in range(k):
+        v[marked] = -v[marked]
+        v -= 2.0 * v.mean()
+    return v * v
 
 
 def run_grover(spec: GroverSpec) -> GroverReport:
@@ -221,9 +175,10 @@ def run_grover(spec: GroverSpec) -> GroverReport:
     A compiled backend's ladder is checked first: ``verify_decomposition``
     runs it on every embedded basis input, with both bystander values where
     the layout has one, and the search runs only when amplitude error and
-    leakage are both exactly 0. The ladder is then exactly the multi-controlled Z, so every backend
-    runs the same search (:func:`_search`), whose distribution and zero
-    leakage are the ladder's. Only the two-particle gate tally differs.
+    leakage are both exactly 0. The ladder is then exactly the
+    multi-controlled Z, so every backend runs the same search
+    (:func:`_search`), whose distribution and zero leakage are the ladder's.
+    Only the two-particle gate tally differs.
 
     Raises:
         RuntimeError: The compiled ladder is not exactly the

@@ -29,7 +29,7 @@ from ququint import (
 from ququint import grover
 from ququint.core import PAULI_X, STATE_TOL, _apply_gate_inplace
 from ququint.decompose import _MAX_SWEEP_N, METHODS
-from ququint.embedding import ODD_VARIANTS, lift_single_qubit_gate
+from ququint.embedding import ODD_VARIANTS, OutcomeView, lift_single_qubit_gate
 from ququint.grover import BACKENDS, build_diffusion, build_oracle
 from readout import dense_read_out
 
@@ -166,16 +166,35 @@ class TestRunGrover:
             analytic_success(n, k), abs=1e-9
         )
 
-    # factor widths of 16 to 64, where BLAS blocks the layer products
-    # differently from the small sizes above
+    # through run_grover on a compiled backend as well as the reference
     @pytest.mark.parametrize("iterations", ["auto", 5])
     @pytest.mark.parametrize("method", ["reference", "ququint"])
     @pytest.mark.parametrize("n", [9, 10, 12])
     def test_success_matches_analytic_formula_at_wide_factors(self, n, method, iterations):
         report = run_grover(GroverSpec(n, "1" * n, method, iterations=iterations))
         assert report.success_probability == pytest.approx(
-            analytic_success(n, report.iterations), abs=1e-12
+            analytic_success(n, report.iterations), abs=1e-13
         )
+
+    @pytest.mark.parametrize("n", range(2, 15))
+    def test_success_matches_analytic_formula_over_the_period(self, n):
+        # every k of one period up to n = 12, then the automatic and the
+        # largest count; the 2^n - 1 unmarked outcomes stay bitwise equal,
+        # as they are in exact arithmetic
+        period = grover._max_iterations(n)
+        counts = range(1, period + 1) if n <= 12 else (auto_iterations(n), period)
+        omega = ("10" * n)[:n]
+        for k in counts:
+            probs = grover._search(n, omega, k)
+            assert abs(probs[int(omega, 2)] - analytic_success(n, k)) <= 1e-13, k
+            unmarked = np.delete(probs, int(omega, 2))
+            assert (unmarked == unmarked[0]).all(), k
+
+    def test_exact_tie_reports_the_first_outcome(self):
+        # after six iterations at n = 4 the marked outcome is near 0 and the
+        # other fifteen tie exactly: the first of them, not rounding, wins
+        report = run_grover(GroverSpec(4, "1111", "reference", iterations=6))
+        assert report.top_outcome == "0000"
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_marked_item_dominates_at_auto_iterations(self, n):
@@ -314,6 +333,23 @@ class TestDistributionView:
             view.probabilities[0] = 1.0
         assert report.top_outcome == labels[int(np.argmax(probs))] == omega
 
+    def test_items_and_values_iterate_without_lookups(self, monkeypatch):
+        report = run_grover(GroverSpec(6, "101101", "reference"))
+        view = report.distribution
+        lookups = []
+        getitem = OutcomeView.__getitem__
+        monkeypatch.setattr(
+            OutcomeView, "__getitem__", lambda self, key: lookups.append(key) or getitem(self, key)
+        )
+        pairs = list(zip(view, view.probabilities.tolist()))
+        assert list(view.items()) == pairs
+        assert list(view.values()) == [p for _, p in pairs]
+        assert lookups == []
+        marked = ("101101", report.success_probability)
+        assert marked in view.items() and ("101101", 0.5) not in view.items()
+        assert view.items() & {marked, ("0", 1.0)} == {marked}
+        assert report.success_probability in view.values() and len(view.values()) == 64
+
     def test_report_memory_is_bounded(self):
         # the report holds its 2^14 float64 outcome array (0.125 MiB) and no
         # bitstring per outcome, which took 0.77 MiB as a dict of 2^14 keys
@@ -388,8 +424,8 @@ def _check_with(extra, n, method, variant="single"):
     return verify_decomposition(_compile_with(extra)(DecompositionRequest(n, method, variant)))
 
 
-# Every backend at n=2..7, then larger registers, whose layer factors are
-# uneven at odd n (h = n // 2 < n - h); the odd variant matters only at odd n.
+# Every backend at n=2..7, then larger registers; the odd variant matters
+# only at odd n.
 _ENGINE_CASES = [
     pytest.param(n, method, "single", id=f"{n}-{method}")
     for n in range(2, 8)
@@ -521,47 +557,6 @@ def test_appended_level_pair_gate_matches_full_register(method, n, data):
     _assert_same_distribution(_full_register_run(emap, list(ladder) + extra, omega, k), report)
 
 
-@given(st.integers(2, 12), st.data())
-def test_real_stacks_compile_to_the_real_part_of_complex_factors(n, data):
-    """A layer of H and X products compiles to the same factors from its
-    float64 stack as from its complex128 one, exactly: a product of reals
-    rounds the same in either dtype."""
-    steps = data.draw(st.lists(
-        st.tuples(st.integers(0, n - 1), st.sampled_from([HADAMARD, PAULI_X])),
-        max_size=3 * n,
-    ))
-    (stack,) = grover._layers([("u", q, u) for q, u in steps], n)
-    assert not stack.imag.any()
-    for real, complex_ in zip(grover._compile(stack.real), grover._compile(stack)):
-        assert real.dtype == np.float64 and complex_.dtype == np.complex128
-        assert np.array_equal(real, complex_.real) and not complex_.imag.any()
-
-
-@given(st.integers(2, 12), st.data())
-def test_layer_factors_match_the_sequential_kernel(n, data):
-    """A layer's A V B^T, built from its (n, 2, 2) stack of per-qubit
-    products, equals its steps run one by one through the stride kernel, for
-    one-qubit unitaries on no qubit, one, all or any multiset of them, at
-    odd n with uneven factors too."""
-    qubits = data.draw(st.one_of(
-        st.just([]),
-        st.integers(0, n - 1).map(lambda q: [q]),
-        st.just(list(range(n))),
-        st.lists(st.integers(0, n - 1), max_size=2 * n),
-    ))
-    steps = [("u", q, data.draw(two_level_unitaries())) for q in qubits]
-    (stack,) = grover._layers(steps, n)
-    a, bt = grover._compile(stack)
-    rng = np.random.default_rng(n)
-    vector = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-    vector /= np.linalg.norm(vector)
-    expect = vector.copy()
-    for _, q, u in steps:
-        _apply_gate_inplace(expect, (2,) * n, LevelPairGate(q, 0, 1, u))
-    got = (a @ vector.reshape(len(a), len(bt)) @ bt).ravel()
-    assert np.abs(got - expect).max() <= STATE_TOL
-
-
 def _compiled_layouts(n):
     yield from (("qubit", "single"), ("qutrit", "single"), ("ququint", "single"))
     if n % 2:
@@ -639,16 +634,25 @@ class TestLadderStep:
 
 class TestVectorDtype:
     @pytest.mark.parametrize("n", range(2, 11))
-    def test_compiled_ladders_and_the_reference_run_in_float64(self, n, monkeypatch):
-        # every layer is a product of H and X and the multi-controlled Z is a
-        # sign flip, so every backend's search multiplies real numbers only
-        stacks = []
-        compile_ = grover._compile
-        monkeypatch.setattr(
-            grover, "_compile", lambda stack: stacks.append(stack) or compile_(stack)
-        )
+    def test_compiled_ladders_and_the_reference_run_in_float64(self, n):
+        # the oracle and the diffusion are real reflections, so every
+        # backend's search and report hold float64 only
         assert grover._search(n, "1" * n, 1).dtype == np.float64
         for method, variant in [("reference", "single")] + list(_compiled_layouts(n)):
-            stacks.clear()
-            run_grover(GroverSpec(n, "1" * n, method, iterations=1, odd_variant=variant))
-            assert [stack.dtype for stack in stacks] == [np.float64] * 4, (method, variant)
+            report = run_grover(GroverSpec(n, "1" * n, method, iterations=1, odd_variant=variant))
+            assert report.distribution.probabilities.dtype == np.float64, (method, variant)
+
+
+class TestSearchMatchesTheCircuit:
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_reflections_equal_the_steps_run_gate_by_gate(self, n):
+        # the two reflections against the oracle and diffusion steps, each
+        # lifted gate through the stride applier on the reference embedding
+        emap, _ = _backend(n, "reference")
+        period = grover._max_iterations(n)
+        counts = range(1, period + 1) if n <= 8 else (auto_iterations(n), period)
+        for omega in ("0" * n, "1" * n, "1" + "0" * (n - 1)):
+            for k in counts:
+                table, leakage = _full_register_run(emap, None, omega, k)
+                assert np.abs(grover._search(n, omega, k) - table).max() <= 1e-12, (omega, k)
+                assert leakage <= 1e-12
