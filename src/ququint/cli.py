@@ -17,7 +17,6 @@ import numpy as np
 from .core import StateVector, _propagate_sparse, _sample_counts
 from .counts import count_table, emit_report
 from .decompose import (
-    _MAX_SWEEP_N,
     METHODS,
     DecompositionRequest,
     _plan,
@@ -93,12 +92,10 @@ def cmd_verify(args) -> int:
     else:
         _check_odd_variant(args)
         result, target = None, _parse_target("z" if args.target is None else args.target)
-    n = args.n if result is None else result.embedding.qubit_count
-    if n > _MAX_SWEEP_N:  # refused before a ladder is compiled for nothing
-        raise ValueError(f"verification sweeps support n <= {_MAX_SWEEP_N}, got n={n}")
     if result is None:
         variant = args.odd_variant or "single"
-        result = decompose_cnz(DecompositionRequest(n, args.method, variant, target))
+        result = decompose_cnz(DecompositionRequest(args.n, args.method, variant, target))
+    n = result.embedding.qubit_count
     subset = None if (args.exhaustive or 2**n <= _SAMPLE_INPUTS) else _sample_bitstrings(n)
     report = verify_decomposition(result, target_qubit=target, bits_subset=subset)
     print(

@@ -61,7 +61,6 @@ from .embedding import (
     ODD_VARIANTS,
     EmbeddingMap,
     QubitSlot,
-    _counting_bits,
     _parse_bits,
     default_embedding,
     intra_ququint_cz,
@@ -76,10 +75,10 @@ T_DAGGER = T_GATE.dagger()
 # n = 23), so larger requests are refused before any ladder is laid out.
 _MAX_N = 30
 
-# Largest qubit count a Grover search, a verify sweep or the count table's
-# cross-check runs at: the largest n at which every method's ladder register
-# fits MAX_STATE_SIZE. The qubit ladder's 2n - 2 two-level sites overflow
-# first (2^26 at n = 14); qutrit and ququint registers fit well past it.
+# Largest qubit count a Grover search or the count table's cross-check runs
+# at: the largest n at which every method's ladder register fits
+# MAX_STATE_SIZE (the qubit ladder's 2n - 2 two-level sites overflow first,
+# 2^26 at n = 14). A verify sweep has no cap: any register that fits runs.
 _MAX_SWEEP_N = (MAX_STATE_SIZE.bit_length() - 1) // 2 + 1
 
 
@@ -311,10 +310,11 @@ def decompose_cnz(request: DecompositionRequest) -> DecompositionResult:
 # ladders, so every phase ladder is moves only: its table keeps one row per
 # input and it verifies with zero error and leakage. An inversion keeps its
 # target's Hadamards as mixing gates. ``verify_decomposition`` is then one
-# loop over blocks of inputs: each block's bits are built, encoded with their
-# expected indices (``EmbeddingMap.encode``), pushed through the plan as one
-# sparse table with a row per live amplitude keyed by (input, flat index)
-# (``core._propagate_sparse``) and scored, so only one score per input
+# loop over blocks of integer inputs x, qubit 0 the most significant bit as in
+# a search's read-out: each block is encoded (``EmbeddingMap.encode``) with
+# its expected indices (its own for the phase gate), pushed through the plan
+# as one sparse table with a row per live amplitude keyed by (input, flat
+# index) (``core._propagate_sparse``) and scored, so only one score per input
 # outlives its block. A Grover search runs only once this sweep reads its
 # ladder as exactly the multi-controlled Z, and ``simulate`` runs a document
 # through the same plan; tests cross-check both against the dense applier.
@@ -497,7 +497,8 @@ def verify_decomposition(
     bits_subset=None,
 ) -> VerificationReport:
     """Check a compiled circuit against the exact gate action on every basis
-    input (all bystander values included for layouts that have one).
+    input x, an integer counted up with qubit 0 as its most significant bit
+    (all bystander values included for layouts that have one).
 
     Args:
         result: The compiled circuit to check. Only its ``circuit`` and
@@ -519,21 +520,24 @@ def verify_decomposition(
     n = emap.qubit_count
     if target_qubit is not None and not 0 <= target_qubit < n:
         raise ValueError(f"target qubit {target_qubit} out of range")
+    shifts = np.arange(n - 1, -1, -1)  # qubit q is bit n - 1 - q of an input x
     if bits_subset is None:
         subset, count = None, 2**n
     else:
         rows = [_parse_bits(bitstring, n) for bitstring in bits_subset]
         if not rows:
             raise ValueError("bits_subset names no input to check")
-        subset = np.array(rows, dtype=np.int64).reshape(len(rows), n)
+        subset = np.array(rows, dtype=np.int64).reshape(len(rows), n) @ (1 << shifts)
         count = len(subset)
+    full = 2**n - 1  # the all-ones input
     bystanders = (0, 1) if emap.bystander_sites else (0,)
     width = len(bystanders)
     register = result.circuit.register
     size = register.size
     plan = _plan(register, result.circuit.gates)
 
-    def encode(bits):  # one entry per (input, bystander), bystander innermost
+    def encode(x):  # one entry per (input, bystander), bystander innermost
+        bits = x[:, None] >> shifts & 1
         return np.stack([emap.encode(bits, b) for b in bystanders], axis=1).ravel()
 
     # max(error, leakage) of each (input, bystander), in sweep order
@@ -542,16 +546,14 @@ def verify_decomposition(
     step = _BLOCK // width  # qubit inputs per block
     for lo in range(0, count, step):
         hi = min(count, lo + step)
-        bits = _counting_bits(n, lo, hi) if subset is None else subset[lo:hi]
-        expected = bits.copy()
-        if target_qubit is None:
-            signs = np.where(bits.all(axis=1), -1.0, 1.0)
-        else:
-            controls = np.delete(bits, target_qubit, axis=1).all(axis=1)
-            expected[controls, target_qubit] ^= 1
-            signs = np.ones(len(bits))
-        starts, expects, signs = encode(bits), encode(expected), np.repeat(signs, width)
+        x = np.arange(lo, hi) if subset is None else subset[lo:hi]
+        starts = encode(x)
         m = len(starts)
+        if target_qubit is None:
+            expects, signs = starts, np.repeat(np.where(x == full, -1.0, 1.0), width)
+        else:
+            flip = 1 << (n - 1 - target_qubit)
+            expects, signs = encode(np.where((x | flip) == full, x ^ flip, x)), np.ones(m)
         keys, amps = _propagate_sparse(register, plan, np.arange(m) * size + starts, np.ones(m))
         owner, index = np.divmod(keys, size)
         hit = index == expects[owner]
@@ -572,8 +574,8 @@ def verify_decomposition(
     if not report.passed():
         first = int(np.argmax(scores >= scores.max() - STATE_TOL))
         row, bystander = divmod(first, width)
-        bits = _counting_bits(n, row, row + 1)[0] if subset is None else subset[row]
-        report.worst_input = "".join(str(b) for b in bits.tolist()) + (
+        x = row if subset is None else subset[row]
+        report.worst_input = format(x, f"0{n}b") + (
             f"+bystander{bystander}" if emap.bystander_sites else ""
         )
     return report

@@ -198,14 +198,6 @@ def _parse_bits(bits, n: int) -> list[int]:
     return out
 
 
-def _counting_bits(n: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
-    """The ``n``-bit strings numbered ``lo`` up to ``hi`` (default: all
-    2^n) in counting order, as an array of bits with one string per row,
-    qubit 0 the most significant."""
-    weights = np.array([2**k for k in range(n - 1, -1, -1)], dtype=np.int64)
-    return np.arange(lo, 2**n if hi is None else hi, dtype=np.int64)[:, None] // weights % 2
-
-
 def embed_basis_state(bits, emap: EmbeddingMap, bystander: int = 0) -> tuple[int, ...]:
     """Register basis label holding the given qubit bitstring.
 

@@ -31,7 +31,6 @@ from test_decompose import CROSS_CHECK_CASES  # the script runs from tests/
 
 from ququint.core import HADAMARD, STATE_TOL, LevelPairGate, TwoQuditCZ
 from ququint.decompose import T_DAGGER, T_GATE
-from ququint.embedding import _counting_bits
 
 REPORTS = Path(__file__).resolve().parent / "verify_reports.json"
 getcontext().prec = 60
@@ -110,7 +109,8 @@ def exact_report(result, target):
     emap = result.embedding
     n = emap.qubit_count
     assert not emap.bystander_sites
-    bits = _counting_bits(n)
+    # every input in counting order, one row of bits each, qubit 0 first
+    bits = np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1) & 1
     expected = bits.copy()
     if target is None:
         signs = np.where(bits.all(axis=1), -1, 1)

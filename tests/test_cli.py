@@ -191,12 +191,41 @@ class TestVerify:
         assert code == 0
         assert "inputs_checked=64" in stdout
 
-    @pytest.mark.parametrize("n,method", [("100000000000000000000", "qutrit"), ("15", "qubit")])
+    @pytest.mark.parametrize("n,method", [
+        ("100000000000000000000", "qutrit"), ("15", "qubit"), ("17", "qutrit"), ("23", "ququint"),
+    ])
     def test_oversized_n_refused_before_compiling(self, capsys, monkeypatch, n, method):
-        monkeypatch.setattr("ququint.cli.decompose_cnz", lambda request: pytest.fail("compiled"))
+        # the request refuses n > 30 before anything compiles; each method's
+        # first size past the register budget is refused when its register
+        # is built, the compiler's first step
+        if int(n) > 30:
+            monkeypatch.setattr("ququint.cli.decompose_cnz", lambda r: pytest.fail("compiled"))
         code, stdout, stderr = run_cli(capsys, "verify", "--n", n, "--method", method)
         assert (code, stdout) == (2, "")
         assert stderr.startswith("error:") and len(stderr.splitlines()) == 1
+        assert int(n) > 30 or "exceeds the supported maximum 2^26" in stderr
+
+    @pytest.mark.parametrize("inversion", [False, True], ids=["z", "x:last"])
+    @pytest.mark.parametrize("n,method,variant", [
+        (16, "qutrit", "single"),
+        (15, "ququint", "single"),
+        (15, "ququint", "neighbor"),
+        (16, "ququint", "single"),
+    ])
+    def test_documents_above_n14_verify(self, tmp_path, capsys, n, method, variant, inversion):
+        # the register budget is the only size rule: what decompose writes
+        # past n = 14, verify accepts
+        out = tmp_path / "doc.json"
+        target = f"x:{n - 1}" if inversion else "z"
+        code, _, _ = run_cli(
+            capsys, "decompose", "--n", str(n), "--method", method,
+            "--odd-variant", variant, "--target", target, "--out", str(out),
+        )
+        assert code == 0
+        code, stdout, _ = run_cli(capsys, "verify", "--circuit", str(out), "--exhaustive")
+        inputs = 2**n * (2 if variant == "neighbor" else 1)
+        assert (code, stdout.splitlines()[-1]) == (0, "PASS"), stdout
+        assert stdout.startswith(f"inputs_checked={inputs} ")
 
     def test_requires_some_target(self, capsys):
         code, _, stderr = run_cli(capsys, "verify")

@@ -361,10 +361,11 @@ class TestDepth:
 
 
 class TestSweepLimit:
-    """One size limit for Grover searches, verify sweeps and the count
-    table's cross-check: the largest n at which every method's ladder
-    register fits ``MAX_STATE_SIZE``. The qubit ladder's 2n - 2 two-level
-    sites are the first to overflow."""
+    """One size limit for Grover searches and the count table's
+    cross-check: the largest n at which every method's ladder register fits
+    ``MAX_STATE_SIZE``. The qubit ladder's 2n - 2 two-level sites are the
+    first to overflow. A verify sweep has no limit of its own: it runs
+    whatever register fits the budget."""
 
     def test_limit_is_the_qubit_ladders_register_budget(self):
         assert _MAX_SWEEP_N == 14
