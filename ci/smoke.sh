@@ -19,17 +19,21 @@ fi
 # Every report must read leakage 0, the whole distribution of the
 # reference backend's search for the same omega, a success probability
 # within 1e-13 of sin^2((2k+1) asin(2^(-n/2))) for its k iterations, and one
-# value on all 2^n - 1 unmarked outcomes, which the search treats alike.
-# Every backend runs the same search once its compiled ladder verifies as
-# exactly the multi-controlled Z, so the comparison with the reference shows
-# only that each ladder was admitted; the analytic formula and the equal
-# unmarked outcomes are the checks of the search itself.
+# value on all 2^n - 1 unmarked outcomes. Every backend runs the same search
+# once its compiled ladder verifies as exactly the multi-controlled Z, so the
+# comparison with the reference shows only that each ladder was admitted.
+# The search iterates the marked amplitude and the one all unmarked outcomes
+# share, so the single unmarked value holds by construction; the analytic
+# formula, here also after one full period (202 iterations at n = 14, the
+# longest count grover admits), and TestSearchMatchesTheCircuit, which runs
+# the circuit gate by gate, are the checks of the search itself.
 large_search() {
   for method in reference qubit qutrit ququint; do
     timeout 60 python -m ququint grover --n 14 --method "$method" --omega 10101010101010 --report json > "$tmp/n14-$method.json"
   done
   timeout 60 python -m ququint grover --n 13 --method reference --omega 1010101010101 --report json > "$tmp/n13-reference.json"
   timeout 60 python -m ququint grover --n 13 --method ququint --odd-variant neighbor --omega 1010101010101 --report json > "$tmp/n13-ququint.json"
+  timeout 60 python -m ququint grover --n 14 --method reference --omega 10101010101010 --iterations 202 --report json > "$tmp/n14-period.json"
   python - "$tmp" <<'PY'
 import json
 import math
@@ -37,6 +41,21 @@ import sys
 from pathlib import Path
 
 tmp = Path(sys.argv[1])
+
+
+def check_search(n, method, report):
+    k = report["iterations"]
+    analytic = math.sin((2 * k + 1) * math.asin(2 ** (-n / 2))) ** 2
+    if abs(report["successProbability"] - analytic) > 1e-13:
+        sys.exit(
+            f"n={n} {method}: success probability {report['successProbability']!r} "
+            f"after {k} iterations, analytic {analytic!r}"
+        )
+    unmarked = {p for x, p in report["distribution"].items() if x != report["omega"]}
+    if len(unmarked) != 1:
+        sys.exit(f"n={n} {method}: the unmarked outcomes read {len(unmarked)} values, not one")
+
+
 for n, methods in ((14, ("qubit", "qutrit", "ququint")), (13, ("ququint",))):
     reference = json.loads((tmp / f"n{n}-reference.json").read_text())
     for method in ("reference",) + methods:
@@ -47,20 +66,16 @@ for n, methods in ((14, ("qubit", "qutrit", "ququint")), (13, ("ququint",))):
                 f"n={n} {method}: leakage {report['leakage']}, {len(differ)} outcomes differ "
                 f"from the reference, first {differ[:1]}"
             )
-        k = report["iterations"]
-        analytic = math.sin((2 * k + 1) * math.asin(2 ** (-n / 2))) ** 2
-        if abs(report["successProbability"] - analytic) > 1e-13:
-            sys.exit(
-                f"n={n} {method}: success probability {report['successProbability']!r} "
-                f"after {k} iterations, analytic {analytic!r}"
-            )
-        unmarked = {p for x, p in report["distribution"].items() if x != report["omega"]}
-        if len(unmarked) != 1:
-            sys.exit(f"n={n} {method}: the unmarked outcomes read {len(unmarked)} values, not one")
+        check_search(n, method, report)
     print(
         f"n={n}: {', '.join(methods)} match the reference with zero leakage, the analytic "
         "success and one unmarked value"
     )
+period = json.loads((tmp / "n14-period.json").read_text())
+if period["iterations"] != 202 or period["leakage"] != 0:
+    sys.exit(f"n=14 period: {period['iterations']} iterations, leakage {period['leakage']}")
+check_search(14, "reference", period)
+print("n=14: reference after one period (202 iterations) reads the analytic success")
 PY
 }
 

@@ -314,10 +314,15 @@ def decompose_cnz(request: DecompositionRequest) -> DecompositionResult:
 # a search's read-out: each block is encoded (``EmbeddingMap.encode``) with
 # its expected indices (its own for the phase gate), pushed through the plan
 # as one sparse table with a row per live amplitude keyed by (input, flat
-# index) (``core._propagate_sparse``) and scored, so only one score per input
-# outlives its block. A Grover search runs only once this sweep reads its
-# ladder as exactly the multi-controlled Z, and ``simulate`` runs a document
-# through the same plan; tests cross-check both against the dense applier.
+# index) (``core._propagate_sparse``) and scored. An expected index is
+# computational, so only the rows off it are decoded for leakage, and none
+# are on a passing phase ladder. Only each block's largest score outlives
+# the block, with the scores of the first block within ``STATE_TOL`` of the
+# running maximum; a failing sweep re-runs the block that holds its worst
+# input if a later block raised the maximum past that one. A Grover search
+# runs only once this sweep reads its ladder as exactly the multi-controlled
+# Z, and ``simulate`` runs a document through the same plan; tests
+# cross-check both against the dense applier.
 # ---------------------------------------------------------------------------
 
 # Inputs propagated together, each bystander value of a qubit input counted
@@ -540,13 +545,12 @@ def verify_decomposition(
         bits = x[:, None] >> shifts & 1
         return np.stack([emap.encode(bits, b) for b in bystanders], axis=1).ravel()
 
-    # max(error, leakage) of each (input, bystander), in sweep order
-    scores = np.empty(count * width)
-    max_error = max_leak = 0.0
     step = _BLOCK // width  # qubit inputs per block
-    for lo in range(0, count, step):
-        hi = min(count, lo + step)
-        x = np.arange(lo, hi) if subset is None else subset[lo:hi]
+
+    # the largest error and leakage of the block from input lo, and the
+    # max(error, leakage) of each of its (input, bystander) pairs
+    def score(lo):
+        x = np.arange(lo, min(count, lo + step)) if subset is None else subset[lo : lo + step]
         starts = encode(x)
         m = len(starts)
         if target_qubit is None:
@@ -563,17 +567,33 @@ def verify_decomposition(
         missed = np.ones(m, dtype=bool)
         missed[owner[hit]] = False
         errors[missed] = np.maximum(errors[missed], 1.0)
-        _, computational = emap.decode(index)
-        prob = np.where(computational, 0.0, np.abs(amps) ** 2)
-        leaks = np.bincount(owner, weights=prob, minlength=m)
-        max_error = np.maximum(max_error, errors.max())  # a NaN stays a NaN
-        max_leak = np.maximum(max_leak, leaks.max())
-        np.maximum(errors, leaks, out=scores[lo * width : lo * width + m])
+        # an expected index is computational, so only rows off it can leak
+        off = ~hit
+        _, computational = emap.decode(index[off])
+        prob = np.where(computational, 0.0, np.abs(amps[off]) ** 2)
+        leaks = np.bincount(owner[off], weights=prob, minlength=m)
+        return errors.max(), leaks.max(), np.maximum(errors, leaks)
+
+    # each block's largest score, and the scores of the first block within
+    # STATE_TOL of the running maximum
+    maxima = np.empty(-(-count // step))
+    max_error = max_leak = 0.0
+    kept = -1, None
+    for block, lo in enumerate(range(0, count, step)):
+        error, leak, scores = score(lo)
+        maxima[block] = scores.max()
+        if not block or maxima[block] - STATE_TOL > np.maximum(max_error, max_leak):
+            kept = block, scores
+        max_error = np.maximum(max_error, error)  # a NaN stays a NaN
+        max_leak = np.maximum(max_leak, leak)
 
     report = VerificationReport(float(max_error), float(max_leak), count * width, None)
     if not report.passed():
-        first = int(np.argmax(scores >= scores.max() - STATE_TOL))
-        row, bystander = divmod(first, width)
+        top = maxima.max()
+        block = int(np.argmax(maxima >= top - STATE_TOL))
+        scores = kept[1] if kept[0] == block else score(block * step)[2]
+        row, bystander = divmod(int(np.argmax(scores >= top - STATE_TOL)), width)
+        row += block * step
         x = row if subset is None else subset[row]
         report.worst_input = format(x, f"0{n}b") + (
             f"+bystander{bystander}" if emap.bystander_sites else ""

@@ -20,7 +20,9 @@ same outcome distribution with zero leakage; only the two-particle gate count
 differs. The search applies each iteration as the two reflections its steps
 equal, 1 - 2|omega><omega| and 1 - 2|s><s| with |s> the uniform state, as
 ``TestOracle::test_flips_only_omega`` and
-``TestDiffusion::test_is_reflection_about_uniform_state`` check.
+``TestDiffusion::test_is_reflection_about_uniform_state`` check. Both keep
+span{|omega>, |s>}, so it iterates two amplitudes, the marked one and the
+one every other bitstring shares, in O(k + 2^n).
 """
 
 from __future__ import annotations
@@ -153,20 +155,25 @@ class GroverReport:
 def _search(n: int, omega: str, k: int) -> np.ndarray:
     """Outcome probabilities, bitstring x at index x (qubit 0 most
     significant), after the Hadamard layer and ``k`` iterations with the
-    exact multi-controlled Z, on a real 2^n vector. The oracle
-    1 - 2|omega><omega| (``TestOracle::test_flips_only_omega``) negates
-    omega's entry; the diffusion 1 - 2|s><s|
-    (``TestDiffusion::test_is_reflection_about_uniform_state``) subtracts
-    twice the mean from every entry. Each costs O(2^n);
-    ``TestSearchMatchesTheCircuit`` compares the result with the circuit's
-    steps run gate by gate.
+    exact multi-controlled Z. The oracle 1 - 2|omega><omega|
+    (``TestOracle::test_flips_only_omega``) and the diffusion 1 - 2|s><s|
+    (``TestDiffusion::test_is_reflection_about_uniform_state``) both keep
+    span{|omega>, |s>}, so the state is two real amplitudes: ``a`` on omega
+    and ``b`` on each of the other 2^n - 1 entries. The oracle negates
+    ``a``; the diffusion subtracts twice the mean from both. A search costs
+    O(k + 2^n) and fills one array; ``TestSearchMatchesTheCircuit`` compares
+    the result with the circuit's steps run gate by gate.
     """
-    v = np.full(2**n, 2.0 ** (-n / 2))  # H on every qubit of |0...0>
-    marked = int(omega, 2)
+    size = 2**n
+    a = b = 2.0 ** (-n / 2)  # H on every qubit of |0...0>
     for _ in range(k):
-        v[marked] = -v[marked]
-        v -= 2.0 * v.mean()
-    return v * v
+        a = -a
+        mean = (a + (size - 1) * b) / size
+        a -= 2.0 * mean
+        b -= 2.0 * mean
+    probs = np.full(size, b * b)
+    probs[int(omega, 2)] = a * a
+    return probs
 
 
 def run_grover(spec: GroverSpec) -> GroverReport:

@@ -12,7 +12,9 @@ from ququint import (
     CircuitDocument,
     DecompositionRequest,
     DecompositionResult,
+    EmbeddingMap,
     LevelPairGate,
+    QubitSlot,
     QuditCircuit,
     QuditRegister,
     StateVector,
@@ -27,11 +29,12 @@ from ququint import (
     decompose_cnz_qutrit,
     embed_basis_state,
     load_document,
+    phase_shift,
     reported_count,
     save_document,
     verify_decomposition,
 )
-from ququint import core
+from ququint import core, decompose
 from ququint.core import STATE_TOL
 from ququint.decompose import (
     _MAX_SWEEP_N,
@@ -603,6 +606,62 @@ class TestVerificationBlocks:
             tracemalloc.stop()
         assert report.passed() and report.inputs_checked == 2**14
         assert peak < 2 * 2**20
+
+    def test_failing_sweep_memory_does_not_grow_with_the_inputs(self):
+        # one CZ on the first two of n two-level sites: off by 2 on every
+        # input with both at 1 but the all-ones one. Only each block's
+        # largest score outlives it, so 2^18 inputs trace barely more than
+        # 2^14, where one score per input took 8 B each (2 MiB at 2^18)
+        peaks = {}
+        for n in (14, 18):
+            register = QuditRegister((2,) * n)
+            emap = EmbeddingMap(register, tuple((q, QubitSlot.SINGLE) for q in range(n)))
+            document = CircuitDocument(QuditCircuit(register, [TwoQuditCZ(0, 1, 1, 1, -1)]), emap)
+            verify_decomposition(document)  # warm the plan's caches
+            tracemalloc.start()
+            try:
+                report = verify_decomposition(document)
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert report.max_amplitude_error == 2.0 and report.inputs_checked == 2**n
+            assert report.worst_input == "11" + "0" * (n - 2)
+        assert peaks[18] - peaks[14] < 2**18 - 2**14, peaks
+        assert peaks[18] < 2**20, peaks
+
+    @pytest.mark.parametrize("order,worst,runs", [
+        # C raises the maximum past A but not past B, which holds the worst
+        # input and is run again; in the other orders the block kept is
+        # the one that holds it, and a passing sweep runs each block once
+        ("ABC", "010", 4),
+        ("CBA", "001", 3),
+        ("BAC", "010", 3),
+        ("000", None, 3),
+    ])
+    def test_one_block_is_re_run_only_when_a_later_one_outscores_it(
+        self, order, worst, runs, monkeypatch
+    ):
+        # a phase on level 1 of qubit q's site: input A, B or C (only qubit
+        # 0, 1 or 2 at 1) is off by 0.5, 0.5 + 0.6 STATE_TOL or
+        # 0.5 + 1.2 STATE_TOL; each fills one block of 1,024 inputs
+        errors = 0.5 + np.array([0, 0.6, 1.2]) * STATE_TOL
+        result = decompose_cnz_qutrit(3)
+        phases = [
+            LevelPairGate(q, 0, 1, phase_shift(2 * np.arcsin(e / 2))) for q, e in enumerate(errors)
+        ]
+        bits = {"A": "100", "B": "010", "C": "001", "0": "000"}
+        subset = [bits[block] for block in order for _ in range(1024)]
+        calls = []
+        propagate = decompose._propagate_sparse
+        monkeypatch.setattr(
+            decompose, "_propagate_sparse", lambda *args: calls.append(1) or propagate(*args)
+        )
+        report = verify_decomposition(
+            with_gates(result, result.circuit.gates + phases), bits_subset=subset
+        )
+        assert report.worst_input == worst
+        assert len(calls) == runs
+        assert report.max_amplitude_error == pytest.approx(errors[2] if worst else 0.0, abs=1e-14)
 
 
 def with_cz_sites_swapped(result):

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ququint import (
@@ -18,7 +18,9 @@ from ququint import (
     QubitSlot,
     QuditCircuit,
     QuditRegister,
+    StateVector,
     TwoLevelUnitary,
+    apply_circuit,
     auto_iterations,
     decompose_cnz,
     embed_basis_state,
@@ -176,11 +178,12 @@ class TestRunGrover:
             analytic_success(n, report.iterations), abs=1e-13
         )
 
-    @pytest.mark.parametrize("n", range(2, 15))
+    @pytest.mark.parametrize("n", range(2, 21))
     def test_success_matches_analytic_formula_over_the_period(self, n):
         # every k of one period up to n = 12, then the automatic and the
-        # largest count; the 2^n - 1 unmarked outcomes stay bitwise equal,
-        # as they are in exact arithmetic
+        # largest count, past the n = 14 a GroverSpec admits; the 2^n - 1
+        # unmarked outcomes stay bitwise equal, as they are in exact
+        # arithmetic, and the outcomes sum to 1
         period = grover._max_iterations(n)
         counts = range(1, period + 1) if n <= 12 else (auto_iterations(n), period)
         omega = ("10" * n)[:n]
@@ -189,6 +192,7 @@ class TestRunGrover:
             assert abs(probs[int(omega, 2)] - analytic_success(n, k)) <= 1e-13, k
             unmarked = np.delete(probs, int(omega, 2))
             assert (unmarked == unmarked[0]).all(), k
+            assert abs(probs.sum() - 1.0) <= 1e-12, k
 
     def test_exact_tie_reports_the_first_outcome(self):
         # after six iterations at n = 4 the marked outcome is near 0 and the
@@ -557,6 +561,44 @@ def test_appended_level_pair_gate_matches_full_register(method, n, data):
     _assert_same_distribution(_full_register_run(emap, list(ladder) + extra, omega, k), report)
 
 
+@st.composite
+def appended_level_pair_gates(draw):
+    """A compiled phase ladder at n = 3..5 (method, n, layout) and a random
+    level-pair gate on any of its sites to append to it."""
+    method = draw(st.sampled_from(METHODS))
+    n = draw(st.integers(3, 5))
+    variant = draw(st.sampled_from(ODD_VARIANTS)) if method == "ququint" else "single"
+    dims = decompose_cnz(DecompositionRequest(n, method, variant)).circuit.register.dims
+    site = draw(st.integers(0, len(dims) - 1))
+    i, j = sorted(draw(st.lists(
+        st.integers(0, dims[site] - 1), min_size=2, max_size=2, unique=True
+    )))
+    return method, n, variant, LevelPairGate(site, i, j, draw(two_level_unitaries()))
+
+
+# a Hadamard between a computational level and a spare one splits each input
+# on it between its expected index and a leaked one
+@example(("ququint", 3, "single", LevelPairGate(0, 1, 4, HADAMARD)))
+@example(("ququint", 5, "neighbor", LevelPairGate(2, 3, 4, HADAMARD)))
+@example(("qutrit", 4, "single", LevelPairGate(3, 1, 2, HADAMARD)))
+@example(("qubit", 4, "single", LevelPairGate(4, 0, 1, HADAMARD)))
+@given(appended_level_pair_gates())
+def test_leakage_matches_the_dense_applier(case):
+    """The verifier's largest leakage equals the largest weight off the
+    computational levels of any embedded basis input, every bystander value
+    included, run through ``apply_circuit`` on the whole register."""
+    method, n, variant, gate = case
+    result = _compile_with([gate])(DecompositionRequest(n, method, variant))
+    emap = result.embedding
+    worst = 0.0
+    for x in range(2**n):
+        for bystander in (0, 1) if emap.bystander_sites else (0,):
+            label = embed_basis_state(format(x, f"0{n}b"), emap, bystander)
+            state = apply_circuit(StateVector.basis_state(emap.register, label), result.circuit)
+            worst = max(worst, dense_read_out(np.abs(state.amplitudes) ** 2, emap)[1])
+    assert abs(verify_decomposition(result).max_leakage - worst) <= 1e-12
+
+
 def _compiled_layouts(n):
     yield from (("qubit", "single"), ("qutrit", "single"), ("ququint", "single"))
     if n % 2:
@@ -641,6 +683,43 @@ class TestVectorDtype:
         for method, variant in [("reference", "single")] + list(_compiled_layouts(n)):
             report = run_grover(GroverSpec(n, "1" * n, method, iterations=1, odd_variant=variant))
             assert report.distribution.probabilities.dtype == np.float64, (method, variant)
+
+
+def _reflection_loop(n, omega, counts):
+    """Outcome probabilities after each of ``counts`` iterations (ascending),
+    from the two reflections run on the whole 2^n vector: negate omega's
+    entry, then subtract twice the mean from every entry."""
+    v = np.full(2**n, 2.0 ** (-n / 2))
+    marked, done = int(omega, 2), 0
+    for k in counts:
+        for _ in range(k - done):
+            v[marked] = -v[marked]
+            v -= 2.0 * v.mean()
+        done = k
+        yield k, v * v
+
+
+class TestTwoAmplitudes:
+    @pytest.mark.parametrize("n", range(2, 15))
+    def test_search_matches_the_reflections_on_the_whole_vector(self, n):
+        # every k of one period; only the order of the mean's sum differs
+        period = grover._max_iterations(n)
+        for omega in ("0" * n, ("10" * n)[:n]):
+            for k, probs in _reflection_loop(n, omega, range(1, period + 1)):
+                assert np.abs(grover._search(n, omega, k) - probs).max() <= 1e-14, (omega, k)
+
+    def test_one_array_per_search(self):
+        # the iterations run on two floats, so the 2^20 outcome array
+        # (8 MiB) is the only allocation that grows with n
+        grover._search(20, "1" * 20, auto_iterations(20))  # warm-up
+        tracemalloc.start()
+        try:
+            probs = grover._search(20, "1" * 20, auto_iterations(20))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert probs.nbytes == 8 * 2**20
+        assert peak < probs.nbytes + 2**16, peak
 
 
 class TestSearchMatchesTheCircuit:
