@@ -157,9 +157,21 @@ simulate() {
     --circuit "$big" --exhaustive
 }
 
+# Each workload runs traced, then untraced: the untraced run is the one the
+# end-to-end metrics come from, so its last line must read "correct": true
+# and "failed": 0.
 bench() {
+  local code
   for workload in grover-backends verify-sweep cli-roundtrip; do
     python3 bench/run.py --workload "$workload" --seed 1 --seconds 4 --trace 1
+    code=0
+    python3 bench/run.py --workload "$workload" --seed 1 --seconds 2 --trace 0 > "$tmp/bench.out" || code=$?
+    cat "$tmp/bench.out"
+    case "$(tail -n 1 "$tmp/bench.out")" in
+      '{"correct": true, '*'"failed": 0, '*) ;;
+      *) echo "bench $workload --trace 0: the last line does not read \"correct\": true and \"failed\": 0" >&2; return 1 ;;
+    esac
+    test "$code" -eq 0
   done
 }
 

@@ -16,6 +16,7 @@ label string reads left to right as sites 0, 1, ...
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -73,12 +74,13 @@ class QuditRegister:
     def num_sites(self) -> int:
         return len(self.dims)
 
-    @property
+    # derived once per register; equality, hash and repr see only ``dims``
+    @functools.cached_property
     def size(self) -> int:
         """Total dimension of the state space (product of site dims)."""
         return math.prod(self.dims)
 
-    @property
+    @functools.cached_property
     def strides(self) -> tuple[int, ...]:
         """Mixed-radix strides: flat index = sum(level[s] * strides[s])."""
         strides = [1] * len(self.dims)

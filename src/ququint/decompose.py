@@ -315,14 +315,15 @@ def decompose_cnz(request: DecompositionRequest) -> DecompositionResult:
 # its expected indices (its own for the phase gate), pushed through the plan
 # as one sparse table with a row per live amplitude keyed by (input, flat
 # index) (``core._propagate_sparse``) and scored. An expected index is
-# computational, so only the rows off it are decoded for leakage, and none
-# are on a passing phase ladder. Only each block's largest score outlives
-# the block, with the scores of the first block within ``STATE_TOL`` of the
-# running maximum; a failing sweep re-runs the block that holds its worst
-# input if a later block raised the maximum past that one. A Grover search
-# runs only once this sweep reads its ladder as exactly the multi-controlled
-# Z, and ``simulate`` runs a document through the same plan; tests
-# cross-check both against the dense applier.
+# computational, so only the rows off it are decoded for leakage, and a
+# block with none, as every block of a passing phase ladder, decodes
+# nothing. Only each block's largest score outlives the block, with the
+# scores of the first block within ``STATE_TOL`` of the running maximum; a
+# failing sweep re-runs the block that holds its worst input if a later
+# block raised the maximum past that one. A Grover search runs only once
+# this sweep reads its ladder as exactly the multi-controlled Z, and
+# ``simulate`` runs a document through the same plan; tests cross-check
+# both against the dense applier.
 # ---------------------------------------------------------------------------
 
 # Inputs propagated together, each bystander value of a qubit input counted
@@ -541,9 +542,11 @@ def verify_decomposition(
     size = register.size
     plan = _plan(register, result.circuit.gates)
 
+    # one bits @ weights product per block, then each bystander's offset
+    offsets = np.array([emap.encode(np.zeros(n, dtype=np.int64), b) for b in bystanders])
+
     def encode(x):  # one entry per (input, bystander), bystander innermost
-        bits = x[:, None] >> shifts & 1
-        return np.stack([emap.encode(bits, b) for b in bystanders], axis=1).ravel()
+        return (emap.encode(x[:, None] >> shifts & 1)[:, None] + offsets).ravel()
 
     step = _BLOCK // width  # qubit inputs per block
 
@@ -568,6 +571,8 @@ def verify_decomposition(
         missed[owner[hit]] = False
         errors[missed] = np.maximum(errors[missed], 1.0)
         # an expected index is computational, so only rows off it can leak
+        if hit.all():
+            return errors.max(), 0.0, errors
         off = ~hit
         _, computational = emap.decode(index[off])
         prob = np.where(computational, 0.0, np.abs(amps[off]) ** 2)

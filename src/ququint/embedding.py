@@ -69,16 +69,18 @@ class EmbeddingMap:
         if not self.assignments:
             # an empty bitstring would pass every all-ones test vacuously
             raise EmbeddingError("an embedding must map at least one qubit")
-        seen = set()
-        per_site: dict[int, set[QubitSlot]] = {}
+        # site -> its slots in qubit order, kept per site as ``_site_slots``;
+        # ``in`` on a list compares by identity, so no Enum member is hashed
+        table: dict[int, list[QubitSlot]] = {}
+        num_sites = self.register.num_sites
         for site, slot in self.assignments:
-            if not 0 <= site < self.register.num_sites:
+            if not 0 <= site < num_sites:
                 raise EmbeddingError(f"site {site} out of range")
-            if (site, slot) in seen:
+            slots = table.setdefault(site, [])
+            if slot in slots:
                 raise EmbeddingError(f"slot {slot.value} of site {site} mapped twice")
-            seen.add((site, slot))
-            per_site.setdefault(site, set()).add(slot)
-        for site, slots in per_site.items():
+            slots.append(slot)
+        for site, slots in table.items():
             dim = self.register.dims[site]
             if QubitSlot.SINGLE in slots and len(slots) > 1:
                 raise EmbeddingError(
@@ -90,39 +92,61 @@ class EmbeddingMap:
                 )
             if QubitSlot.B in slots and QubitSlot.A not in slots:
                 raise EmbeddingError(f"site {site} uses slot B without slot A")
+        site_slots = tuple(tuple(table.get(site, ())) for site in range(num_sites))
+        object.__setattr__(self, "_site_slots", site_slots)
 
     @property
     def qubit_count(self) -> int:
         return len(self.assignments)
 
     def slots_of(self, site: int) -> set[QubitSlot]:
-        return {slot for s, slot in self.assignments if s == site}
+        return set(self._site_slots[site]) if 0 <= site < len(self._site_slots) else set()
 
     @functools.cached_property
     def bystander_sites(self) -> tuple[int, ...]:
         """Sites whose slot B belongs to a qubit outside this map."""
-        return tuple(
-            site
-            for site in range(self.register.num_sites)
-            if self.slots_of(site) == {QubitSlot.A}
-        )
+        return tuple(s for s, slots in enumerate(self._site_slots) if slots == (QubitSlot.A,))
 
     @functools.cached_property
     def work_sites(self) -> tuple[int, ...]:
         """Sites hosting no mapped qubit; they must stay at level 0."""
-        return tuple(
-            site for site in range(self.register.num_sites) if not self.slots_of(site)
-        )
+        return tuple(s for s, slots in enumerate(self._site_slots) if not slots)
 
     @functools.cached_property
     def level_ceilings(self) -> tuple[int, ...]:
         """Highest computational level of each site: 0 on work sites, 1 on
         SINGLE sites, 3 on pair and bystander sites (level 4 is working
         space). A basis label decodes to qubits iff no digit exceeds it."""
-        ceilings = [0] * self.register.num_sites
-        for site, slot in self.assignments:
-            ceilings[site] = 1 if slot is QubitSlot.SINGLE else 3
-        return tuple(ceilings)
+        return tuple(
+            0 if not slots else 1 if slots[0] is QubitSlot.SINGLE else 3
+            for slots in self._site_slots
+        )
+
+    @functools.cached_property
+    def _encoder(self) -> tuple[np.ndarray, int]:
+        """``encode``'s weight of each qubit and offset of bystander bit 1."""
+        strides = self.register.strides
+        weights = np.array(
+            [strides[s] * (2 if slot is QubitSlot.A else 1) for s, slot in self.assignments],
+            dtype=np.int64,
+        )
+        weights.flags.writeable = False
+        return weights, sum(strides[s] for s in self.bystander_sites)
+
+    @functools.cached_property
+    def _decoder(self) -> tuple:
+        """``decode``'s stride, dimension, ceiling (None when no level lies
+        above it) and (digit bit, outcome bit) of each hosted qubit, per site."""
+        n = self.qubit_count
+        bits = [[] for _ in self._site_slots]
+        for q, (site, slot) in enumerate(self.assignments):
+            bits[site].append((1 if slot is QubitSlot.A else 0, n - 1 - q))
+        return tuple(
+            (stride, dim, top if top < dim - 1 else None, tuple(b))
+            for stride, dim, top, b in zip(
+                self.register.strides, self.register.dims, self.level_ceilings, bits
+            )
+        )
 
     def encode(self, bits, bystander: int = 0) -> np.ndarray:
         """Flat register index of each row of an (m, n) or (n,) array of
@@ -131,29 +155,21 @@ class EmbeddingMap:
         ``bystander``; work sites stay at level 0."""
         if bystander not in (0, 1):
             raise ValueError(f"bystander bit must be 0 or 1, got {bystander}")
-        strides = self.register.strides
-        weights = np.array(
-            [strides[s] * (2 if slot is QubitSlot.A else 1) for s, slot in self.assignments],
-            dtype=np.int64,
-        )
-        offset = bystander * sum(strides[s] for s in self.bystander_sites)
-        return np.asarray(bits, dtype=np.int64) @ weights + offset
+        weights, offset = self._encoder
+        return np.asarray(bits, dtype=np.int64) @ weights + bystander * offset
 
     def decode(self, indices) -> tuple[np.ndarray, np.ndarray]:
         """``(outcome, computational)`` of flat register indices: the qubit
         bitstring as an integer, qubit 0 most significant and bystander bits
         dropped, and whether no site digit exceeds its ceiling."""
         idx = np.asarray(indices, dtype=np.int64)
-        dims = self.register.dims
-        digits = [idx // stride % dim for stride, dim in zip(self.register.strides, dims)]
-        n = self.qubit_count
         outcome = np.zeros(idx.shape, dtype=np.int64)
-        for q, (site, slot) in enumerate(self.assignments):
-            bit = (digits[site] >> 1) & 1 if slot is QubitSlot.A else digits[site] & 1
-            outcome |= bit << (n - 1 - q)
         computational = np.ones(idx.shape, dtype=bool)
-        for digit, dim, top in zip(digits, dims, self.level_ceilings):
-            if top < dim - 1:
+        for stride, dim, top, bits in self._decoder:
+            digit = idx // stride % dim
+            for low, shift in bits:
+                outcome |= (digit >> low & 1) << shift
+            if top is not None:
                 computational &= digit <= top
         return outcome, computational
 

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ququint import (
     HADAMARD,
@@ -74,6 +78,23 @@ class TestRegister:
         # names the limit instead
         with pytest.raises(DimensionTooLargeError, match=r"2\^26"):
             QuditRegister((2,) * 200_000)
+
+    def test_derived_tables_leave_equality_hash_and_repr_alone(self):
+        # strides and size are computed once and kept on the register, which
+        # must still compare, hash and print by its dims alone
+        used, fresh = QuditRegister((5, 3, 2)), QuditRegister((5, 3, 2))
+        assert (used.strides, used.size) == ((6, 2, 1), 30)
+        assert used == fresh and hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh) == "QuditRegister(dims=(5, 3, 2))"
+        assert {used: 1}[fresh] == 1
+        assert used != QuditRegister((5, 3, 3))
+
+    @given(st.lists(st.integers(2, 7), min_size=1, max_size=8))
+    def test_strides_are_products_of_the_later_dims(self, dims):
+        reg = QuditRegister(dims)
+        assert reg.strides == tuple(math.prod(dims[s + 1 :]) for s in range(len(dims)))
+        assert reg.size == math.prod(dims)
+        assert all(reg.index(reg.label(i)) == i for i in (0, reg.size // 3, reg.size - 1))
 
     def test_state_requires_normalization(self):
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ququint import (
+    HADAMARD,
     PAULI_X,
     PAULI_Z,
     CircuitDocument,
@@ -20,6 +21,7 @@ from ququint import (
     StateVector,
     TwoLevelUnitary,
     TwoQuditCZ,
+    VerificationReport,
     apply_circuit,
     build_cx,
     circuit_unitary,
@@ -778,3 +780,112 @@ def test_verify_matches_reference_reports(name):
     assert report.worst_input == expected["worst_input"]
     assert abs(report.max_amplitude_error - expected["max_amplitude_error"]) <= 1e-14
     assert abs(report.max_leakage - expected["max_leakage"]) <= 1e-14
+
+
+class TestDecodeOnlyMisses:
+    """An expected index is computational, so a verify block decodes only
+    the rows that left theirs, and none on a passing phase ladder."""
+
+    @pytest.fixture
+    def decoded(self, monkeypatch):
+        rows = []
+        decode = EmbeddingMap.decode
+
+        def counted(emap, indices):
+            rows.append(np.size(indices))
+            return decode(emap, indices)
+
+        monkeypatch.setattr(EmbeddingMap, "decode", counted)
+        return rows
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_compiled_phase_ladders_decode_no_row(self, n, decoded):
+        for method in METHODS:
+            for variant in ("single", "neighbor") if method == "ququint" and n % 2 else ("single",):
+                report = verify_decomposition(decompose_cnz(DecompositionRequest(n, method, variant)))
+                assert report.passed() and report.max_leakage == 0.0, (method, variant)
+        assert decoded == []
+
+    def test_rows_off_their_index_are_decoded(self, decoded):
+        # a final X leaves the first work site at level 1 on all 16 inputs
+        result = decompose_cnz_qubit(4)
+        leak = LevelPairGate(4, 0, 1, PAULI_X)
+        report = verify_decomposition(with_gates(result, result.circuit.gates + [leak]))
+        assert report.max_leakage == 1.0
+        assert decoded == [16]
+
+
+def decode_every_row(result, target):
+    """The report of one table of every input, each row it ends with
+    decoded, on its expected index or not."""
+    emap, register = result.embedding, result.circuit.register
+    n, size, full = emap.qubit_count, register.size, 2**emap.qubit_count - 1
+    x = np.arange(full + 1)
+    if target is None:
+        wanted, signs = x, np.where(x == full, -1.0, 1.0)
+    else:
+        flip = 1 << (n - 1 - target)
+        wanted, signs = np.where(x | flip == full, x ^ flip, x), np.ones(full + 1)
+    bystanders = (0, 1) if emap.bystander_sites else (0,)
+
+    def encode(v):  # bystander innermost
+        bits = v[:, None] >> np.arange(n - 1, -1, -1) & 1
+        return np.stack([emap.encode(bits, b) for b in bystanders], axis=1).ravel()
+
+    starts, expects, signs = encode(x), encode(wanted), np.repeat(signs, len(bystanders))
+    m = len(starts)
+    plan = _plan(register, result.circuit.gates)
+    keys, amps = core._propagate_sparse(register, plan, np.arange(m) * size + starts, np.ones(m))
+    owner, index = np.divmod(keys, size)
+    hit = index == expects[owner]
+    errors = np.zeros(m)
+    np.maximum.at(errors, owner, np.abs(amps - np.where(hit, signs[owner], 0.0)))
+    missed = ~np.isin(np.arange(m), owner[hit])
+    errors[missed] = np.maximum(errors[missed], 1.0)
+    _, computational = emap.decode(index)
+    prob = np.where(computational, 0.0, np.abs(amps) ** 2)
+    leaks = np.bincount(owner, weights=prob, minlength=m)
+    report = VerificationReport(float(errors.max()), float(leaks.max()), m, None)
+    if not report.passed():
+        scores = np.maximum(errors, leaks)
+        row = int(np.argmax(scores >= scores.max() - STATE_TOL))
+        x, bystander = divmod(row, len(bystanders))
+        report.worst_input = format(x, f"0{n}b") + (
+            f"+bystander{bystander}" if emap.bystander_sites else ""
+        )
+    return report
+
+
+def with_hadamard(request, at, site, i, j):
+    """A compiled request with H on levels (i, j) of ``site`` inserted
+    before gate ``at``: it leaks wherever a level left is not computational."""
+    result = decompose_cnz(request)
+    gates = list(result.circuit.gates)
+    gates.insert(at, LevelPairGate(site, i, j, HADAMARD))
+    return with_gates(result, gates), request.target_qubit
+
+
+LEAKING_CASES = {
+    "ququint n=7 mid-ladder H(1; 3,4)": lambda: with_hadamard(
+        DecompositionRequest(7, "ququint", target_qubit=2), 9, 1, 3, 4
+    ),
+    "ququint-neighbor n=9 H(4; 2,4)": lambda: with_hadamard(
+        DecompositionRequest(9, "ququint", "neighbor"), 0, 4, 2, 4
+    ),
+    "qutrit n=8 mid-ladder H(3; 1,2)": lambda: with_hadamard(
+        DecompositionRequest(8, "qutrit", target_qubit=7), 20, 3, 1, 2
+    ),
+    "qubit n=5 H on a work site": lambda: with_hadamard(
+        DecompositionRequest(5, "qubit"), 30, 6, 0, 1
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "name",
+    sorted(name for name in CROSS_CHECK_CASES if not name.endswith(" z")) + sorted(LEAKING_CASES),
+)
+def test_inversion_and_mutant_reports_match_a_full_decode(name):
+    # every field, bit for bit: the decode a block skips changes nothing
+    result, target = {**CROSS_CHECK_CASES, **LEAKING_CASES}[name]()
+    assert verify_decomposition(result, target_qubit=target) == decode_every_row(result, target)

@@ -1,5 +1,10 @@
+import math
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ququint import (
     HADAMARD,
@@ -78,6 +83,41 @@ class TestDefaultEmbedding:
             EmbeddingMap(QuditRegister((3,)), ((0, QubitSlot.A),))
         with pytest.raises(EmbeddingError):  # single mixed with pair
             EmbeddingMap(reg, ((0, QubitSlot.A), (0, QubitSlot.SINGLE)))
+
+    @pytest.mark.parametrize(
+        "dims,assignments,message",
+        [
+            ((5,), (), "an embedding must map at least one qubit"),
+            ((5,), ((1, QubitSlot.A),), "site 1 out of range"),
+            ((5,), ((-1, QubitSlot.SINGLE),), "site -1 out of range"),
+            ((5,), ((0, QubitSlot.A), (0, QubitSlot.A)), "slot a of site 0 mapped twice"),
+            (
+                (5,),
+                ((0, QubitSlot.A), (0, QubitSlot.SINGLE)),
+                "site 0 mixes a single-qubit slot with pair slots",
+            ),
+            (
+                (2, 3),
+                ((0, QubitSlot.SINGLE), (1, QubitSlot.A)),
+                "pair slots need a five-level site, site 1 has dimension 3",
+            ),
+            ((5,), ((0, QubitSlot.B),), "site 0 uses slot B without slot A"),
+            # the sites are checked in the order their first qubit names them
+            ((5, 5), ((1, QubitSlot.B), (0, QubitSlot.B)), "site 1 uses slot B without slot A"),
+            (
+                (3, 5),
+                ((1, QubitSlot.B), (0, QubitSlot.A), (0, QubitSlot.B)),
+                "site 1 uses slot B without slot A",
+            ),
+        ],
+        ids=[
+            "empty", "site-past-the-end", "negative-site", "slot-twice", "single-with-pair",
+            "pair-on-qutrit", "b-without-a", "first-named-site-first", "site-before-its-dimension",
+        ],
+    )
+    def test_each_invariant_names_its_fault(self, dims, assignments, message):
+        with pytest.raises(EmbeddingError, match=f"^{re.escape(message)}$"):
+            EmbeddingMap(QuditRegister(dims), assignments)
 
 
 class TestEmbedBasisState:
@@ -307,3 +347,70 @@ class TestCodec:
     def test_encode_rejects_bad_bystander(self):
         with pytest.raises(ValueError, match="bystander"):
             default_embedding(3, "neighbor").encode([1, 1, 1], 2)
+
+
+# Slots each kind of site hosts; a work site hosts none.
+SITE_SLOTS = {
+    "pair": (QubitSlot.A, QubitSlot.B),
+    "bystander": (QubitSlot.A,),
+    "single": (QubitSlot.SINGLE,),
+    "work": (),
+}
+
+
+@st.composite
+def embeddings(draw):
+    """A valid embedding of up to five pair, bystander, single and work
+    sites on dims 2..5, its qubits in any order."""
+    kinds = draw(
+        st.lists(st.sampled_from(sorted(SITE_SLOTS)), min_size=1, max_size=5).filter(
+            lambda kinds: set(kinds) != {"work"}
+        )
+    )
+    dims = [5 if kind in ("pair", "bystander") else draw(st.integers(2, 5)) for kind in kinds]
+    slots = [(site, slot) for site, kind in enumerate(kinds) for slot in SITE_SLOTS[kind]]
+    return EmbeddingMap(QuditRegister(tuple(dims)), tuple(draw(st.permutations(slots))))
+
+
+def rescanned(emap):
+    """Each site's slots, bystander sites, work sites and level ceilings,
+    read off ``assignments`` one site at a time."""
+    sites = range(emap.register.num_sites)
+    slots = [{slot for s, slot in emap.assignments if s == site} for site in sites]
+    ceilings = tuple(
+        0 if not on else 1 if on == {QubitSlot.SINGLE} else 3 for on in slots
+    )
+    bystanders = tuple(site for site in sites if slots[site] == {QubitSlot.A})
+    return slots, bystanders, tuple(site for site in sites if not slots[site]), ceilings
+
+
+@given(embeddings(), st.data())
+def test_codec_matches_the_per_qubit_formula(emap, data):
+    n, dims = emap.qubit_count, emap.register.dims
+    strides = [math.prod(dims[site + 1 :]) for site in range(len(dims))]
+    slots, bystanders, work, ceilings = rescanned(emap)
+    assert [emap.slots_of(site) for site in range(len(dims))] == slots
+    assert emap.slots_of(len(dims)) == emap.slots_of(-1) == set()
+    assert (emap.bystander_sites, emap.work_sites, emap.level_ceilings) == (
+        bystanders, work, ceilings
+    )
+    rows = data.draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=1))
+    for bystander in (0, 1):
+        want = [
+            sum(strides[site] * bit * (2 if slot is QubitSlot.A else 1)
+                for bit, (site, slot) in zip(row, emap.assignments))
+            + bystander * sum(strides[site] for site in bystanders)
+            for row in rows
+        ]
+        assert emap.encode(rows, bystander).tolist() == want
+        assert emap.encode(rows[0], bystander) == want[0]
+    indices = data.draw(st.lists(st.integers(0, emap.register.size - 1), min_size=1))
+    outcome, computational = emap.decode(indices)
+    for index, got, ok in zip(indices, outcome.tolist(), computational.tolist()):
+        digits = [index // strides[site] % dims[site] for site in range(len(dims))]
+        bits = [
+            digits[site] >> 1 & 1 if slot is QubitSlot.A else digits[site] & 1
+            for site, slot in emap.assignments
+        ]
+        assert got == sum(bit << (n - 1 - q) for q, bit in enumerate(bits))
+        assert ok == all(digit <= top for digit, top in zip(digits, ceilings))
