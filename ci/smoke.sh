@@ -85,7 +85,10 @@ PY
 # search runs a compiled ladder only when it verifies with error and leakage
 # exactly 0, so the phase-gate sweeps must read exactly that, on n = 14 and
 # on the n = 13 neighbor layout the large search runs. The inversions keep
-# their target's Hadamards and read rounding (2.2e-16).
+# their target's Hadamards and read rounding (2.2e-16). Without
+# --exhaustive, verify checks 64 sampled inputs; at n = 14 and 22 these are
+# the only CLI sweeps whose inputs reach the encoder's high bits (x >= 2^10)
+# as an arbitrary subset, so they must read exactly 0 too.
 checked_verify() {
   local pattern="$1" out
   shift
@@ -104,6 +107,11 @@ verify() {
     checked_verify "inputs_checked=16384 *" --n 14 --method "$method" --exhaustive --target x:13
   done
   checked_verify "$exact" --n 13 --method ququint --odd-variant neighbor --exhaustive
+  local sampled="inputs_checked=64 max_amplitude_error=0.000e+00 max_leakage=0.000e+00*"
+  for method in qubit qutrit ququint; do
+    checked_verify "$sampled" --n 14 --method "$method"
+  done
+  checked_verify "$sampled" --n 22 --method ququint
 }
 
 size_limit() {

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import StateVector, _propagate_sparse, _sample_counts
+from .core import _normalized_amplitudes, _propagate_sparse, _sample_counts
 from .counts import count_table, emit_report
 from .decompose import (
     METHODS,
@@ -131,10 +131,11 @@ def _start_rows(args, document: CircuitDocument) -> tuple[np.ndarray, np.ndarray
     payload = _parse_json(Path(args.state).read_text(encoding="utf-8"), "state file")
     if not isinstance(payload, dict) or not isinstance(payload.get("amplitudes"), list):
         raise ValueError('state file must be a JSON object with an "amplitudes" list')
-    amps = [_as_pair(z, "state file amplitude") for z in payload["amplitudes"]]
-    state = StateVector(register, amps)  # checks the length and the norm
-    live = np.flatnonzero(state.amplitudes)
-    return live, state.amplitudes[live]
+    amps = _normalized_amplitudes(
+        register, [_as_pair(z, "state file amplitude") for z in payload["amplitudes"]]
+    )
+    live = np.flatnonzero(amps)
+    return live, amps[live]
 
 
 def _outcome_table(

@@ -119,6 +119,26 @@ class QuditRegister:
         return ",".join(str(x) for x in label)
 
 
+def _normalized_amplitudes(register: QuditRegister, amplitudes) -> np.ndarray:
+    """``amplitudes`` as a complex array, checked to hold one entry per
+    basis state of ``register`` and to have norm 1.
+
+    Raises:
+        RegisterMismatchError: The array does not have the register's size.
+        ValueError: The norm is not within 1e-8 of 1, or is NaN.
+    """
+    arr = np.asarray(amplitudes, dtype=np.complex128)
+    if arr.shape != (register.size,):
+        raise RegisterMismatchError(
+            f"amplitude array has shape {arr.shape}, register size is {register.size}"
+        )
+    with np.errstate(over="ignore"):  # a norm beyond the float range reads inf
+        norm = np.linalg.norm(arr)
+    if not abs(norm - 1.0) <= 1e-8:  # fails a NaN norm too
+        raise ValueError(f"state vector is not normalized (norm {norm})")
+    return arr
+
+
 class StateVector:
     """A normalized complex amplitude vector over a :class:`QuditRegister`.
 
@@ -128,15 +148,7 @@ class StateVector:
 
     def __init__(self, register: QuditRegister, amplitudes):
         self.register = register
-        arr = np.asarray(amplitudes, dtype=np.complex128)
-        if arr.shape != (register.size,):
-            raise RegisterMismatchError(
-                f"amplitude array has shape {arr.shape}, register size is {register.size}"
-            )
-        norm = np.linalg.norm(arr)
-        if not abs(norm - 1.0) <= 1e-8:  # fails a NaN norm too
-            raise ValueError(f"state vector is not normalized (norm {norm})")
-        self.amplitudes = arr
+        self.amplitudes = _normalized_amplitudes(register, amplitudes)
 
     @classmethod
     def basis_state(cls, register: QuditRegister, label) -> "StateVector":
@@ -284,31 +296,33 @@ def validate_gate(gate: QuditGate, register: QuditRegister) -> None:
         RegisterMismatchError: A referenced site does not exist.
         GateError: A referenced level is out of range for its site.
     """
-    if isinstance(gate, LevelPairGate):
-        if gate.site >= register.num_sites:
-            raise RegisterMismatchError(
-                f"site {gate.site} out of range for {register.num_sites} sites"
-            )
-        if gate.j >= register.dims[gate.site]:
-            raise GateError(
-                f"level {gate.j} out of range for dimension {register.dims[gate.site]}"
-            )
-    elif isinstance(gate, TwoQuditCZ):
-        if max(gate.site_a, gate.site_b) >= register.num_sites:
-            raise RegisterMismatchError(
-                f"sites ({gate.site_a}, {gate.site_b}) out of range for "
-                f"{register.num_sites} sites"
-            )
-        if gate.i >= register.dims[gate.site_a]:
-            raise GateError(
-                f"level {gate.i} out of range for dimension {register.dims[gate.site_a]}"
-            )
-        if gate.j >= register.dims[gate.site_b]:
-            raise GateError(
-                f"level {gate.j} out of range for dimension {register.dims[gate.site_b]}"
-            )
-    else:
-        raise GateError(f"unknown gate type {type(gate).__name__}")
+    _validate_gates((gate,), register)
+
+
+def _validate_gates(gates, register: QuditRegister) -> None:
+    """:func:`validate_gate` on every gate, in one pass against ``dims``
+    read once; the first gate that does not fit raises."""
+    dims = register.dims
+    num_sites = len(dims)
+    for gate in gates:
+        if isinstance(gate, LevelPairGate):
+            site = gate.site
+            if site >= num_sites:
+                raise RegisterMismatchError(f"site {site} out of range for {num_sites} sites")
+            if gate.j >= dims[site]:
+                raise GateError(f"level {gate.j} out of range for dimension {dims[site]}")
+        elif isinstance(gate, TwoQuditCZ):
+            a, b = gate.site_a, gate.site_b
+            if a >= num_sites or b >= num_sites:
+                raise RegisterMismatchError(
+                    f"sites ({a}, {b}) out of range for {num_sites} sites"
+                )
+            if gate.i >= dims[a]:
+                raise GateError(f"level {gate.i} out of range for dimension {dims[a]}")
+            if gate.j >= dims[b]:
+                raise GateError(f"level {gate.j} out of range for dimension {dims[b]}")
+        else:
+            raise GateError(f"unknown gate type {type(gate).__name__}")
 
 
 @dataclass
@@ -320,16 +334,18 @@ class QuditCircuit:
 
     def __post_init__(self):
         self.gates = list(self.gates)
-        for gate in self.gates:
-            validate_gate(gate, self.register)
+        _validate_gates(self.gates, self.register)
 
     def append(self, gate: QuditGate) -> None:
         validate_gate(gate, self.register)
         self.gates.append(gate)
 
     def extend(self, gates) -> None:
-        for gate in gates:
-            self.append(gate)
+        """Append ``gates`` in order, or none of them: the first gate that
+        does not fit raises :func:`validate_gate`'s error."""
+        gates = list(gates)
+        _validate_gates(gates, self.register)
+        self.gates += gates
 
     def __len__(self) -> int:
         return len(self.gates)

@@ -37,6 +37,7 @@ and a Grover search runs only on a ladder it reads as exact.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -51,6 +52,7 @@ from .core import (
     QuditCircuit,
     QuditGate,
     QuditRegister,
+    TwoLevelUnitary,
     TwoQuditCZ,
     _Move,
     _apply_gate_inplace,
@@ -217,23 +219,17 @@ def decompose_cnz_qutrit(n: int) -> DecompositionResult:
 
 
 def _toffoli_network(a: int, b: int, t: int) -> list[QuditGate]:
-    """Exact doubly-controlled NOT from six CNOTs plus eighth-turn phases."""
-    gates: list[QuditGate] = [LevelPairGate(t, 0, 1, HADAMARD)]
-    gates += build_cx(b, t, 1, 0, 1)
-    gates.append(LevelPairGate(t, 0, 1, T_DAGGER))
-    gates += build_cx(a, t, 1, 0, 1)
-    gates.append(LevelPairGate(t, 0, 1, T_GATE))
-    gates += build_cx(b, t, 1, 0, 1)
-    gates.append(LevelPairGate(t, 0, 1, T_DAGGER))
-    gates += build_cx(a, t, 1, 0, 1)
-    gates.append(LevelPairGate(b, 0, 1, T_GATE))
-    gates.append(LevelPairGate(t, 0, 1, T_GATE))
-    gates += build_cx(a, b, 1, 0, 1)
-    gates.append(LevelPairGate(t, 0, 1, HADAMARD))
-    gates.append(LevelPairGate(a, 0, 1, T_GATE))
-    gates.append(LevelPairGate(b, 0, 1, T_DAGGER))
-    gates += build_cx(a, b, 1, 0, 1)
-    return gates
+    """Exact doubly-controlled NOT from six CNOTs plus eighth-turn phases.
+
+    Gates are immutable, so each distinct one is built once and listed
+    wherever it recurs."""
+    h, tee, tee_dagger = (LevelPairGate(t, 0, 1, u) for u in (HADAMARD, T_GATE, T_DAGGER))
+    cx_bt, cx_at, cx_ab = build_cx(b, t, 1, 0, 1), build_cx(a, t, 1, 0, 1), build_cx(a, b, 1, 0, 1)
+    return [
+        h, *cx_bt, tee_dagger, *cx_at, tee, *cx_bt, tee_dagger, *cx_at,
+        LevelPairGate(b, 0, 1, T_GATE), tee, *cx_ab,
+        h, LevelPairGate(a, 0, 1, T_GATE), LevelPairGate(b, 0, 1, T_DAGGER), *cx_ab,
+    ]
 
 
 def decompose_cnz_qubit(n: int) -> DecompositionResult:
@@ -248,18 +244,15 @@ def decompose_cnz_qubit(n: int) -> DecompositionResult:
     ancillas = max(n - 2, 0)
     register = QuditRegister((2,) * (n + ancillas))
     emap = EmbeddingMap(register, tuple((q, QubitSlot.SINGLE) for q in range(n)))
-    circuit = QuditCircuit(register)
     if n == 2:
-        circuit.append(TwoQuditCZ(0, 1, 1, 1))
-        return DecompositionResult(circuit, emap, 1, 0)
+        return DecompositionResult(QuditCircuit(register, [TwoQuditCZ(0, 1, 1, 1)]), emap, 1, 0)
     blocks = [_toffoli_network(0, 1, n)]
     for j in range(1, n - 2):
         blocks.append(_toffoli_network(j + 1, n + j - 1, n + j))
-    for block in blocks:
-        circuit.extend(block)
-    circuit.append(TwoQuditCZ(n + ancillas - 1, n - 1, 1, 1))
-    for block in reversed(blocks):
-        circuit.extend(block)
+    gates = [gate for block in blocks for gate in block]
+    gates.append(TwoQuditCZ(n + ancillas - 1, n - 1, 1, 1))
+    gates += [gate for block in reversed(blocks) for gate in block]
+    circuit = QuditCircuit(register, gates)
     return DecompositionResult(circuit, emap, circuit.two_qudit_gate_count, ancillas)
 
 
@@ -311,10 +304,14 @@ def decompose_cnz(request: DecompositionRequest) -> DecompositionResult:
 # input and it verifies with zero error and leakage. An inversion keeps its
 # target's Hadamards as mixing gates. ``verify_decomposition`` is then one
 # loop over blocks of integer inputs x, qubit 0 the most significant bit as in
-# a search's read-out: each block is encoded (``EmbeddingMap.encode``) with
-# its expected indices (its own for the phase gate), pushed through the plan
-# as one sparse table with a row per live amplitude keyed by (input, flat
-# index) (``core._propagate_sparse``) and scored. An expected index is
+# a search's read-out. Each block is encoded with its expected indices (its
+# own for the phase gate) by lookups in two tables built once per sweep
+# (``_block_encoder``: the register index of each value of x's low bits, and
+# the part each value of its high bits adds), pushed through the plan as one
+# sparse table with a row per live amplitude keyed by (input, flat index)
+# (``core._propagate_sparse``) and scored. A table left with one row per
+# input, as every phase ladder's is, scores each input by its row; any other
+# keeps each input's largest error with a scatter. An expected index is
 # computational, so only the rows off it are decoded for leakage, and a
 # block with none, as every block of a passing phase ladder, decodes
 # nothing. Only each block's largest score outlives the block, with the
@@ -366,13 +363,49 @@ def _plan(register: QuditRegister, gates: list[QuditGate]) -> list:
     entry at most ``_SNAP``) becomes one :class:`~ququint.core._Move`, or
     nothing when it is the identity; when no prefix is monomial, the first
     gate is kept as it is. A qubit Toffoli block, a qutrit or ququint pair
-    of controlled level swaps and every phase gate become moves."""
+    of controlled level swaps and every phase gate become moves.
+
+    Each gate's sites and payload are read once, into flat lists: its
+    sites as a tuple and as bits, and its payload as ``(i, j, alpha, beta,
+    gamma, delta)`` for a level-pair gate or ``(i, j, phase)`` for a
+    controlled phase. A window's key is then its gates' sites renamed to
+    their places among the window's, and its slice of payloads."""
     dims, strides = register.dims, register.strides
+    gate_sites: list[tuple[int, ...]] = []
+    masks: list[int] = []
+    payloads: list[tuple] = []
+    for gate in gates:
+        if isinstance(gate, LevelPairGate):
+            u = gate.u
+            gate_sites.append((gate.site,))
+            masks.append(1 << gate.site)
+            payloads.append((gate.i, gate.j, u.alpha, u.beta, u.gamma, u.delta))
+        else:
+            gate_sites.append((gate.site_a, gate.site_b))
+            masks.append(1 << gate.site_a | 1 << gate.site_b)
+            payloads.append((gate.i, gate.j, gate.phase))
     steps: list = []
-    g = 0
-    while g < len(gates):
-        sites, key = _window(dims, gates, g)
-        length, delta, phase = _monomial_prefix(tuple(dims[s] for s in sites), key)
+    g, count = 0, len(gates)
+    while g < count:
+        # the window from gate g: add each gate's new sites while they stay
+        # within _WINDOW_SITES sites and a local space of _WINDOW_SIZE
+        touched, sites, size = 0, [], 1
+        end, stop = g, min(count, g + _WINDOW_GATES)
+        while end < stop:
+            if masks[end] & ~touched:
+                new = [s for s in gate_sites[end] if not touched >> s & 1]
+                grow = math.prod([dims[s] for s in new])
+                if len(sites) + len(new) > _WINDOW_SITES or size * grow > _WINDOW_SIZE:
+                    break
+                touched |= masks[end]
+                sites += new
+                size *= grow
+            end += 1
+        sites.sort()
+        local = {s: k for k, s in enumerate(sites)}
+        renamed = map(local.__getitem__, itertools.chain.from_iterable(gate_sites[g:end]))
+        key = tuple(renamed), tuple(payloads[g:end])
+        length, delta, phase = _monomial_prefix(tuple([dims[s] for s in sites]), key)
         if not length:
             steps.append(gates[g])
             length = 1
@@ -382,42 +415,15 @@ def _plan(register: QuditRegister, gates: list[QuditGate]) -> list:
     return steps
 
 
-def _window(dims, gates, g) -> tuple[list[int], tuple]:
-    """The sorted sites of the window from gate ``g``, and its gates with
-    each site renamed to its place among them, as a hashable key."""
-    touched: set[int] = set()
-    size, end, stop = 1, g, min(len(gates), g + _WINDOW_GATES)
-    while end < stop:
-        gate = gates[end]
-        if isinstance(gate, LevelPairGate):
-            new = [] if gate.site in touched else [gate.site]
-        else:
-            new = [s for s in (gate.site_a, gate.site_b) if s not in touched]
-        if new:
-            grow = math.prod(dims[s] for s in new)
-            if len(touched) + len(new) > _WINDOW_SITES or size * grow > _WINDOW_SIZE:
-                break
-            touched.update(new)
-            size *= grow
-        end += 1
-    sites = sorted(touched)
-    local = {s: k for k, s in enumerate(sites)}
-    key = tuple(
-        (local[gate.site], gate.i, gate.j, gate.u)
-        if isinstance(gate, LevelPairGate)
-        else (local[gate.site_a], local[gate.site_b], gate.i, gate.j, gate.phase)
-        for gate in gates[g:end]
-    )
-    return sites, key
-
-
 @functools.lru_cache(maxsize=256)
 def _monomial_prefix(dims: tuple[int, ...], key: tuple) -> tuple:
-    """The longest prefix of a window's gates (``_window``'s key) whose
-    local unitary is monomial: its length (0 if none is), then the change of
-    each site's digit from every column to the row it goes to (None for the
-    identity permutation), and the phase each column takes there, snapped
-    to the nearest of 1, -1, i, -i within ``_SNAP`` (None if all are 1).
+    """The longest prefix of a window's gates whose local unitary is
+    monomial: its length (0 if none is), then the change of each site's
+    digit from every column to the row it goes to (None for the identity
+    permutation), and the phase each column takes there, snapped to the
+    nearest of 1, -1, i, -i within ``_SNAP`` (None if all are 1). ``key`` is
+    ``_plan``'s: the window's local sites, one per level-pair gate and two
+    per controlled phase, and each gate's payload.
 
     The unitary is built by running each gate through the stride kernel on
     the row digits of an identity matrix (at most 125 x 125, never
@@ -427,8 +433,16 @@ def _monomial_prefix(dims: tuple[int, ...], key: tuple) -> tuple:
     m = np.eye(size, dtype=np.complex128)
     mag = np.empty((size, size))  # reused: a fresh array per gate costs 3x
     found = 0, None, None
-    for count, entry in enumerate(key, 1):
-        gate = LevelPairGate(*entry) if len(entry) == 4 else TwoQuditCZ(*entry)
+    local_sites, payloads = key
+    place = 0
+    for count, entry in enumerate(payloads, 1):
+        if len(entry) == 6:
+            i, j, *u = entry
+            gate = LevelPairGate(local_sites[place], i, j, TwoLevelUnitary(*u))
+            place += 1
+        else:
+            gate = TwoQuditCZ(*local_sites[place : place + 2], *entry)
+            place += 2
         _apply_gate_inplace(m, dims + (size,), gate)
         np.abs(m, out=mag)
         widest = np.count_nonzero(mag > _SNAP, axis=0).max()
@@ -457,7 +471,7 @@ def _monomial_prefix(dims: tuple[int, ...], key: tuple) -> tuple:
 def _move(dims, strides, sites: list[int], delta: np.ndarray | None, phase) -> _Move:
     """The move of a monomial window on ``sites`` (``_monomial_prefix``'s
     digit changes ``delta`` and ``phase``) on a register of ``dims``."""
-    shift = None if delta is None else np.array([strides[s] for s in sites]) @ delta
+    shift = None if delta is None else np.array([strides[s] for s in sites]).dot(delta)
     # one read per run of adjacent sites, the least significant run first
     reads, weight, k = [], 1, len(sites)
     while k:
@@ -469,6 +483,44 @@ def _move(dims, strides, sites: list[int], delta: np.ndarray | None, phase) -> _
         weight *= span
         k = j
     return _Move(tuple(reads), shift, phase)
+
+
+def _block_encoder(emap: EmbeddingMap):
+    """The sweep's encoder: ``encode(x)`` is the flat register index of each
+    integer input x (qubit 0 its most significant bit) with every bystander
+    value, bystander innermost, as :meth:`EmbeddingMap.encode` gives it.
+
+    One table, built per encoder, holds the index of every value of x's low
+    bits, as many as a block of ``_BLOCK`` inputs spans (all n bits when n
+    is at most that), and a second the part every value of its high bits
+    adds, so a block costs a lookup or two, whatever n is."""
+    weights, offset = emap._encoder
+    weights = weights.tolist()
+    n, low_bits = len(weights), min(len(weights), _BLOCK.bit_length() - 1)
+    low = _bit_table(weights[n - low_bits :])
+    if low_bits == n:
+        index = low.__getitem__
+    else:
+        high, mask = _bit_table(weights[: n - low_bits]), (1 << low_bits) - 1
+
+        def index(x):
+            return high[x >> low_bits] + low[x & mask]
+
+    if not emap.bystander_sites:
+        return index
+    offsets = np.array([0, offset])
+    return lambda x: (index(x)[:, None] + offsets).ravel()
+
+
+def _bit_table(weights: list[int]) -> np.ndarray:
+    """Entry v: the sum of ``weights`` over v's one bits, the first weight
+    on v's most significant bit."""
+    table = np.empty(1 << len(weights), dtype=np.int64)
+    table[0], half = 0, 1
+    for weight in reversed(weights):
+        np.add(table[:half], weight, out=table[half : 2 * half])
+        half *= 2
+    return table
 
 
 def _propagate_basis(
@@ -526,28 +578,21 @@ def verify_decomposition(
     n = emap.qubit_count
     if target_qubit is not None and not 0 <= target_qubit < n:
         raise ValueError(f"target qubit {target_qubit} out of range")
-    shifts = np.arange(n - 1, -1, -1)  # qubit q is bit n - 1 - q of an input x
     if bits_subset is None:
         subset, count = None, 2**n
     else:
         rows = [_parse_bits(bitstring, n) for bitstring in bits_subset]
         if not rows:
             raise ValueError("bits_subset names no input to check")
+        shifts = np.arange(n - 1, -1, -1)  # qubit q is bit n - 1 - q of an input x
         subset = np.array(rows, dtype=np.int64).reshape(len(rows), n) @ (1 << shifts)
         count = len(subset)
     full = 2**n - 1  # the all-ones input
-    bystanders = (0, 1) if emap.bystander_sites else (0,)
-    width = len(bystanders)
+    width = 2 if emap.bystander_sites else 1
     register = result.circuit.register
     size = register.size
     plan = _plan(register, result.circuit.gates)
-
-    # one bits @ weights product per block, then each bystander's offset
-    offsets = np.array([emap.encode(np.zeros(n, dtype=np.int64), b) for b in bystanders])
-
-    def encode(x):  # one entry per (input, bystander), bystander innermost
-        return (emap.encode(x[:, None] >> shifts & 1)[:, None] + offsets).ravel()
-
+    encode = _block_encoder(emap)
     step = _BLOCK // width  # qubit inputs per block
 
     # the largest error and leakage of the block from input lo, and the
@@ -561,14 +606,23 @@ def verify_decomposition(
         else:
             flip = 1 << (n - 1 - target_qubit)
             expects, signs = encode(np.where((x | flip) == full, x ^ flip, x)), np.ones(m)
-        keys, amps = _propagate_sparse(register, plan, np.arange(m) * size + starts, np.ones(m))
-        owner, index = np.divmod(keys, size)
-        hit = index == expects[owner]
-        errors = np.zeros(m)
-        np.maximum.at(errors, owner, np.abs(amps - np.where(hit, signs[owner], 0.0)))
-        # an expected index that did not survive is a full miss
-        missed = np.ones(m, dtype=bool)
-        missed[owner[hit]] = False
+        base = np.arange(m) * size  # row r's key is r * size + its index
+        keys, amps = _propagate_sparse(register, plan, base + starts, np.ones(m))
+        # one row per input, as every phase ladder keeps (row r is input r's):
+        # each input's error is its row's, with no scatter
+        index = keys - base if len(keys) == m else None
+        if index is not None and index.min() >= 0 and index.max() < size:
+            hit = index == expects
+            owner, missed = np.arange(m), ~hit
+            errors = np.abs(amps - np.where(hit, signs, 0.0))
+        else:
+            owner, index = np.divmod(keys, size)
+            hit = index == expects[owner]
+            errors = np.zeros(m)
+            np.maximum.at(errors, owner, np.abs(amps - np.where(hit, signs[owner], 0.0)))
+            # an expected index that did not survive is a full miss
+            missed = np.ones(m, dtype=bool)
+            missed[owner[hit]] = False
         errors[missed] = np.maximum(errors[missed], 1.0)
         # an expected index is computational, so only rows off it can leak
         if hit.all():

@@ -61,10 +61,15 @@ class EmbeddingMap:
     assignments: tuple[tuple[int, QubitSlot], ...]
 
     def __post_init__(self):
+        # a slot already a QubitSlot member is kept as it is: Enum lookup by
+        # value is slow, and every compiled layout passes members
         object.__setattr__(
             self,
             "assignments",
-            tuple((int(s), QubitSlot(slot)) for s, slot in self.assignments),
+            tuple(
+                (int(s), slot if type(slot) is QubitSlot else QubitSlot(slot))
+                for s, slot in self.assignments
+            ),
         )
         if not self.assignments:
             # an empty bitstring would pass every all-ones test vacuously

@@ -312,6 +312,25 @@ class TestSimulate:
         assert code == 0
         assert "00000,1" in stdout
 
+    @pytest.mark.parametrize("amps,message", [
+        ([[1.0, 0.0]] * 124, "amplitude array has shape (124,), register size is 125"),
+        ([[1.0, 0.0]] * 126, "amplitude array has shape (126,), register size is 125"),
+        ([[0.6, 0.0]] + [[0.0, 0.0]] * 124, "state vector is not normalized (norm 0.6)"),
+        ([[1e200, 0.0]] + [[0.0, 0.0]] * 124, "state vector is not normalized (norm inf)"),
+    ], ids=["short", "long", "norm-0.6", "norm-overflow"])
+    @pytest.mark.filterwarnings("error")  # stderr holds the error line alone
+    def test_state_file_length_and_norm_are_checked(self, document, tmp_path, capsys, amps, message):
+        # the same checks, types and messages as a StateVector of the amplitudes
+        with pytest.raises(ValueError) as direct:
+            StateVector(QuditRegister((5, 5, 5)), [complex(*z) for z in amps])
+        assert str(direct.value) == message
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps({"amplitudes": amps}))
+        code, stdout, stderr = run_cli(
+            capsys, "simulate", str(document), "--state", str(state), "--probs"
+        )
+        assert (code, stdout, stderr) == (2, "", f"error: {message}\n")
+
     def test_malformed_document(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"version": 1}')

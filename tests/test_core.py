@@ -22,7 +22,13 @@ from ququint import (
     circuit_unitary,
     gate_matrix,
 )
-from ququint.core import IDENTITY, _sample_counts, apply_level_pair, apply_two_qudit_cz
+from ququint.core import (
+    IDENTITY,
+    _sample_counts,
+    apply_level_pair,
+    apply_two_qudit_cz,
+    validate_gate,
+)
 
 Q1 = QuditRegister((5,))
 Q2 = QuditRegister((5, 5))
@@ -252,6 +258,51 @@ class TestCircuitUnitary:
         circuit = QuditCircuit(Q1)
         with pytest.raises(RegisterMismatchError):
             circuit.append(TwoQuditCZ(0, 1, 0, 0))
+
+
+class TestCircuitValidation:
+    REGISTER = QuditRegister((3, 5))
+    GOOD = [LevelPairGate(0, 0, 2, HADAMARD), TwoQuditCZ(0, 1, 2, 4), LevelPairGate(1, 3, 4, PAULI_Z)]
+    BAD = {
+        "level-pair-site": LevelPairGate(2, 0, 1, HADAMARD),
+        "level-pair-level": LevelPairGate(0, 1, 3, HADAMARD),
+        "cz-site": TwoQuditCZ(0, 2, 0, 0),
+        "cz-level-a": TwoQuditCZ(0, 1, 3, 0),
+        "cz-level-b": TwoQuditCZ(1, 0, 4, 3),
+        "not-a-gate": "H(0; 0, 1)",
+    }
+
+    @staticmethod
+    def expected_error(gate):
+        with pytest.raises((GateError, RegisterMismatchError)) as caught:
+            validate_gate(gate, TestCircuitValidation.REGISTER)
+        return type(caught.value), str(caught.value)
+
+    @pytest.mark.parametrize("bad", sorted(BAD))
+    @pytest.mark.parametrize("at", [0, 2, 3], ids=["start", "middle", "end"])
+    def test_extend_raises_validate_gates_error_and_appends_nothing(self, bad, at):
+        gates = self.GOOD[:at] + [self.BAD[bad]] + self.GOOD[at:]
+        circuit = QuditCircuit(self.REGISTER, self.GOOD)
+        with pytest.raises(ValueError) as caught:
+            circuit.extend(iter(gates))
+        assert (type(caught.value), str(caught.value)) == self.expected_error(self.BAD[bad])
+        assert circuit.gates == self.GOOD
+        with pytest.raises(ValueError) as built:
+            QuditCircuit(self.REGISTER, gates)
+        assert (type(built.value), str(built.value)) == self.expected_error(self.BAD[bad])
+
+    def test_extend_reports_the_first_bad_gate(self):
+        circuit = QuditCircuit(self.REGISTER)
+        first, second = self.BAD["cz-level-b"], self.BAD["level-pair-site"]
+        with pytest.raises(ValueError) as caught:
+            circuit.extend(self.GOOD + [first] + self.GOOD + [second])
+        assert (type(caught.value), str(caught.value)) == self.expected_error(first)
+        assert circuit.gates == []
+
+    def test_extend_appends_every_good_gate_in_order(self):
+        circuit = QuditCircuit(self.REGISTER, self.GOOD[:1])
+        circuit.extend(gate for gate in self.GOOD[1:])
+        assert circuit.gates == self.GOOD
 
 
 class TestMeasurement:

@@ -46,6 +46,7 @@ from ququint.decompose import (
     _propagate_basis,
     to_cnx,
 )
+from reference_plan import assert_same_steps, reference_plan
 
 
 def controlled_swap_matrix(register, ctl, tgt, i, k, level_l):
@@ -889,3 +890,82 @@ def test_inversion_and_mutant_reports_match_a_full_decode(name):
     # every field, bit for bit: the decode a block skips changes nothing
     result, target = {**CROSS_CHECK_CASES, **LEAKING_CASES}[name]()
     assert verify_decomposition(result, target_qubit=target) == decode_every_row(result, target)
+
+
+def _every_request(n):
+    layouts = [(method, "single") for method in METHODS]
+    if n % 2:
+        layouts.append(("ququint", "neighbor"))
+    for method, variant in layouts:
+        for target in (None, *range(n)):
+            yield DecompositionRequest(n, method, variant, target)
+
+
+@pytest.mark.parametrize("n", range(2, 15))
+def test_every_ladder_plans_as_the_reference_planner(n):
+    # the planner reads each gate once into flat lists; the reference builds
+    # each window's key from the gates themselves, as the planner once did
+    for request in _every_request(n):
+        circuit = decompose_cnz(request).circuit
+        assert_same_steps(
+            _plan(circuit.register, circuit.gates), reference_plan(circuit.register, circuit.gates)
+        )
+
+
+class TestBlockEncoder:
+    """The sweep encodes each block through tables of x's low and high bits;
+    every index must be the one ``EmbeddingMap.encode`` gives the bit rows,
+    each bystander value's offset included."""
+
+    @staticmethod
+    def encoded(emap, x):
+        n = emap.qubit_count
+        bits = x[:, None] >> np.arange(n - 1, -1, -1) & 1
+        bystanders = (0, 1) if emap.bystander_sites else (0,)
+        return np.stack([emap.encode(bits, b) for b in bystanders], axis=1).ravel()
+
+    @pytest.fixture
+    def blocks(self, monkeypatch):
+        """Every (inputs, indices) pair the sweep's encoder returns."""
+        seen = []
+        make = decompose._block_encoder
+
+        def recording(emap):
+            encode = make(emap)
+            return lambda x: seen.append((x.copy(), encode(x))) or seen[-1][1]
+
+        monkeypatch.setattr(decompose, "_block_encoder", recording)
+        return seen
+
+    @pytest.mark.parametrize("n,method,variant", [
+        *((n, method, "single") for n in range(11, 15) for method in ("qutrit", "ququint")),
+        (11, "ququint", "neighbor"),
+        (13, "ququint", "neighbor"),
+    ])
+    def test_every_block_of_a_sweep(self, n, method, variant, blocks):
+        result = decompose_cnz(DecompositionRequest(n, method, variant))
+        report = verify_decomposition(result)
+        assert report.passed()
+        width = 2 if result.embedding.bystander_sites else 1
+        assert len(blocks) == 2**n * width // 1024 > 1
+        inputs = np.concatenate([x for x, _ in blocks])
+        assert np.array_equal(inputs, np.arange(2**n))
+        for x, index in blocks:
+            assert np.array_equal(index, self.encoded(result.embedding, x))
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("n,method,variant", [
+        (11, "ququint", "neighbor"), (14, "qubit", "single"), (16, "qutrit", "single"),
+        (22, "ququint", "single"), (21, "ququint", "neighbor"),
+    ])
+    def test_random_subsets(self, n, method, variant, seed, blocks):
+        # draws at or above 2^10 read the high bits' table too
+        rng = np.random.default_rng(seed)
+        x = rng.integers(0, 2**n, size=1500)
+        x[:3] = 0, 2**10, 2**n - 1
+        result = decompose_cnz(DecompositionRequest(n, method, variant))
+        subset = [format(int(v), f"0{n}b") for v in x]
+        assert verify_decomposition(result, bits_subset=subset).passed()
+        assert np.array_equal(np.concatenate([v for v, _ in blocks]), x)
+        for v, index in blocks:
+            assert np.array_equal(index, self.encoded(result.embedding, v))

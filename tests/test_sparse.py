@@ -45,6 +45,7 @@ from ququint.cli import main
 from ququint.core import STATE_TOL, _propagate_sparse
 from ququint.decompose import T_DAGGER, T_GATE, _plan, _propagate_basis, _toffoli_network
 from readout import dense_read_out
+from reference_plan import assert_same_steps, reference_plan
 
 angles = st.floats(0, 2 * np.pi)
 
@@ -221,6 +222,12 @@ def test_planned_sparse_propagation_matches_dense(circuit):
     plan = _plan(circuit.register, circuit.gates)
     batched = batched_columns(circuit.register, plan)
     assert np.max(np.abs(batched - dense_columns(circuit))) < STATE_TOL
+
+
+@given(circuits())
+def test_plan_matches_the_reference_planner(circuit):
+    gates = circuit.gates
+    assert_same_steps(_plan(circuit.register, gates), reference_plan(circuit.register, gates))
 
 
 @given(circuits())
