@@ -88,7 +88,10 @@ PY
 # their target's Hadamards and read rounding (2.2e-16). Without
 # --exhaustive, verify checks 64 sampled inputs; at n = 14 and 22 these are
 # the only CLI sweeps whose inputs reach the encoder's high bits (x >= 2^10)
-# as an arbitrary subset, so they must read exactly 0 too.
+# as an arbitrary subset, so they must read exactly 0 too. On the neighbor
+# layout at n = 13 and 21 the same 64 inputs run with both bystander values
+# (128 checked): the only CLI sweeps where an arbitrary subset reaches the
+# high bits and the bystander interleave together.
 checked_verify() {
   local pattern="$1" out
   shift
@@ -112,6 +115,10 @@ verify() {
     checked_verify "$sampled" --n 14 --method "$method"
   done
   checked_verify "$sampled" --n 22 --method ququint
+  sampled="inputs_checked=128 max_amplitude_error=0.000e+00 max_leakage=0.000e+00*"
+  for n in 13 21; do
+    checked_verify "$sampled" --n "$n" --method ququint --odd-variant neighbor
+  done
 }
 
 size_limit() {

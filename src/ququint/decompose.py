@@ -305,19 +305,20 @@ def decompose_cnz(request: DecompositionRequest) -> DecompositionResult:
 # target's Hadamards as mixing gates. ``verify_decomposition`` is then one
 # loop over blocks of integer inputs x, qubit 0 the most significant bit as in
 # a search's read-out. Each block is encoded with its expected indices (its
-# own for the phase gate) by lookups in two tables built once per sweep
-# (``_block_encoder``: the register index of each value of x's low bits, and
-# the part each value of its high bits adds), pushed through the plan as one
-# sparse table with a row per live amplitude keyed by (input, flat index)
-# (``core._propagate_sparse``) and scored. A table left with one row per
-# input, as every phase ladder's is, scores each input by its row; any other
-# keeps each input's largest error with a scatter. An expected index is
-# computational, so only the rows off it are decoded for leakage, and a
-# block with none, as every block of a passing phase ladder, decodes
-# nothing. Only each block's largest score outlives the block, with the
-# scores of the first block within ``STATE_TOL`` of the running maximum; a
-# failing sweep re-runs the block that holds its worst input if a later
-# block raised the maximum past that one. A Grover search runs only once
+# own for the phase gate) by the embedding, whose ``encode`` is ``decode``'s
+# inverse on integer inputs; the sweep reads the same tables, built once per
+# embedding, through its unchecked lookup (``EmbeddingMap._lookup``). The
+# block is pushed through the plan as one sparse table with a row per live
+# amplitude keyed by (input, flat index) (``core._propagate_sparse``) and
+# scored. A table left with one row per input, as every phase ladder's is,
+# scores each input by its row; any other keeps each input's largest error
+# with a scatter. An expected index is computational, so only the rows off
+# it are decoded for leakage, and a block with none, as every block of a
+# passing phase ladder, decodes nothing. Only each block's largest score
+# outlives the block, with the scores of the first block within
+# ``STATE_TOL`` of the running maximum; a failing sweep re-runs the block
+# that holds its worst input if a later block raised the maximum past that
+# one. A Grover search runs only once
 # this sweep reads its ladder as exactly the multi-controlled Z, and
 # ``simulate`` runs a document through the same plan; tests cross-check
 # both against the dense applier.
@@ -485,44 +486,6 @@ def _move(dims, strides, sites: list[int], delta: np.ndarray | None, phase) -> _
     return _Move(tuple(reads), shift, phase)
 
 
-def _block_encoder(emap: EmbeddingMap):
-    """The sweep's encoder: ``encode(x)`` is the flat register index of each
-    integer input x (qubit 0 its most significant bit) with every bystander
-    value, bystander innermost, as :meth:`EmbeddingMap.encode` gives it.
-
-    One table, built per encoder, holds the index of every value of x's low
-    bits, as many as a block of ``_BLOCK`` inputs spans (all n bits when n
-    is at most that), and a second the part every value of its high bits
-    adds, so a block costs a lookup or two, whatever n is."""
-    weights, offset = emap._encoder
-    weights = weights.tolist()
-    n, low_bits = len(weights), min(len(weights), _BLOCK.bit_length() - 1)
-    low = _bit_table(weights[n - low_bits :])
-    if low_bits == n:
-        index = low.__getitem__
-    else:
-        high, mask = _bit_table(weights[: n - low_bits]), (1 << low_bits) - 1
-
-        def index(x):
-            return high[x >> low_bits] + low[x & mask]
-
-    if not emap.bystander_sites:
-        return index
-    offsets = np.array([0, offset])
-    return lambda x: (index(x)[:, None] + offsets).ravel()
-
-
-def _bit_table(weights: list[int]) -> np.ndarray:
-    """Entry v: the sum of ``weights`` over v's one bits, the first weight
-    on v's most significant bit."""
-    table = np.empty(1 << len(weights), dtype=np.int64)
-    table[0], half = 0, 1
-    for weight in reversed(weights):
-        np.add(table[:half], weight, out=table[half : 2 * half])
-        half *= 2
-    return table
-
-
 def _propagate_basis(
     register: QuditRegister, gates: list[QuditGate], start_index: int
 ) -> dict[int, complex]:
@@ -581,18 +544,16 @@ def verify_decomposition(
     if bits_subset is None:
         subset, count = None, 2**n
     else:
-        rows = [_parse_bits(bitstring, n) for bitstring in bits_subset]
-        if not rows:
-            raise ValueError("bits_subset names no input to check")
-        shifts = np.arange(n - 1, -1, -1)  # qubit q is bit n - 1 - q of an input x
-        subset = np.array(rows, dtype=np.int64).reshape(len(rows), n) @ (1 << shifts)
+        subset = np.array([_parse_bits(bitstring, n) for bitstring in bits_subset], dtype=np.int64)
         count = len(subset)
+        if not count:
+            raise ValueError("bits_subset names no input to check")
     full = 2**n - 1  # the all-ones input
     width = 2 if emap.bystander_sites else 1
     register = result.circuit.register
     size = register.size
     plan = _plan(register, result.circuit.gates)
-    encode = _block_encoder(emap)
+    encode = emap._lookup
     step = _BLOCK // width  # qubit inputs per block
 
     # the largest error and leakage of the block from input lo, and the

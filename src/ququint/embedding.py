@@ -12,9 +12,12 @@ an :class:`EmbeddingMap`, which also understands two special roles:
 - *work sites*: sites with no mapped qubit at all (used by the borrowed-qubit
   ladder); they must start and end at level 0.
 
-:meth:`EmbeddingMap.decode` flags register indices off the computational
-levels; a read-out reports their probability as leakage, never silently
-renormalized. :class:`OutcomeView` shows an outcome array as bitstrings.
+:meth:`EmbeddingMap.encode` is the one map from qubit inputs, each an integer
+x with qubit 0 its most significant bit, to register indices, and
+:meth:`EmbeddingMap.decode` is its inverse. ``decode`` also flags indices off
+the computational levels; a read-out reports their probability as leakage,
+never silently renormalized. :class:`OutcomeView` shows an outcome array as
+bitstrings.
 """
 
 from __future__ import annotations
@@ -128,15 +131,22 @@ class EmbeddingMap:
         )
 
     @functools.cached_property
-    def _encoder(self) -> tuple[np.ndarray, int]:
-        """``encode``'s weight of each qubit and offset of bystander bit 1."""
+    def _encoder(self) -> tuple:
+        """``encode``'s tables: how many of an input's low bits the first
+        covers (all n, or 10 to span a verify block of 1,024 inputs), the
+        register index of each of their values, the part each value of the
+        high bits adds (None without high bits), and the offsets of
+        bystander bits 0 and 1 (None without bystander sites)."""
         strides = self.register.strides
-        weights = np.array(
-            [strides[s] * (2 if slot is QubitSlot.A else 1) for s, slot in self.assignments],
-            dtype=np.int64,
+        weights = [strides[s] * (2 if slot is QubitSlot.A else 1) for s, slot in self.assignments]
+        split = max(0, len(weights) - 10)
+        offset = sum(strides[s] for s in self.bystander_sites)
+        return (
+            len(weights) - split,
+            _bit_table(weights[split:]),
+            _bit_table(weights[:split]) if split else None,
+            np.array([0, offset]) if offset else None,
         )
-        weights.flags.writeable = False
-        return weights, sum(strides[s] for s in self.bystander_sites)
 
     @functools.cached_property
     def _decoder(self) -> tuple:
@@ -153,15 +163,33 @@ class EmbeddingMap:
             )
         )
 
-    def encode(self, bits, bystander: int = 0) -> np.ndarray:
-        """Flat register index of each row of an (m, n) or (n,) array of
-        qubit bits, qubit 0 first: each qubit weighs its site's stride,
-        doubled on slot A; every bystander site adds its stride times
-        ``bystander``; work sites stay at level 0."""
+    def encode(self, x, bystander: int = 0) -> np.ndarray:
+        """Flat register index of each integer input x (an int or an int
+        array), qubit 0 its most significant bit: :meth:`decode`'s inverse.
+        Each qubit's bit weighs its site's stride, doubled on slot A; every
+        bystander site holds ``bystander``; work sites stay at level 0.
+
+        Raises:
+            ValueError: An x is not an integer in [0, 2^n), or
+                ``bystander`` is not 0 or 1.
+        """
         if bystander not in (0, 1):
             raise ValueError(f"bystander bit must be 0 or 1, got {bystander}")
-        weights, offset = self._encoder
-        return np.asarray(bits, dtype=np.int64) @ weights + bystander * offset
+        values, n = np.asarray(x), self.qubit_count
+        if values.dtype.kind not in "iu" or values.size and (values.min() < 0 or values.max() >> n):
+            raise ValueError(f"inputs must be integers in [0, 2^{n}), got {x!r}")
+        index = self._lookup(values.reshape(-1))
+        if self.bystander_sites:
+            index = index[bystander::2]
+        return index.reshape(values.shape)[()]
+
+    def _lookup(self, x: np.ndarray) -> np.ndarray:
+        """Unchecked ``encode`` of a 1-D integer array of inputs in
+        [0, 2^n), with every bystander value, bystander innermost: a lookup
+        or two and an add, the verify sweep's encoder."""
+        low_bits, low, high, offsets = self._encoder
+        index = low[x] if high is None else high[x >> low_bits] + low[x & (1 << low_bits) - 1]
+        return index if offsets is None else (index[:, None] + offsets).ravel()
 
     def decode(self, indices) -> tuple[np.ndarray, np.ndarray]:
         """``(outcome, computational)`` of flat register indices: the qubit
@@ -208,15 +236,27 @@ def default_embedding(n: int, odd_variant: str = "single") -> EmbeddingMap:
     return EmbeddingMap(QuditRegister((5,) * num_sites), tuple(assignments))
 
 
-def _parse_bits(bits, n: int) -> list[int]:
-    """The ``n`` bits of a string like ``"0110"`` or a sequence of 0/1."""
+def _bit_table(weights: list[int]) -> np.ndarray:
+    """Entry v: the sum of ``weights`` over v's one bits, the first weight
+    on v's most significant bit."""
+    table = np.empty(1 << len(weights), dtype=np.int64)
+    table[0], half = 0, 1
+    for weight in reversed(weights):
+        np.add(table[:half], weight, out=table[half : 2 * half])
+        half *= 2
+    return table
+
+
+def _parse_bits(bits, n: int) -> int:
+    """The input x of ``n`` bits, a string like ``"0110"`` or a sequence
+    of 0/1, the first bit (qubit 0) its most significant."""
     try:
         out = [int(b) if b in (0, 1, "0", "1") else -1 for b in bits]
     except TypeError:  # not a sequence
         out = None
     if out is None or len(out) != n or -1 in out:
         raise ValueError(f"expected {n} bits of 0 or 1, got {bits!r}")
-    return out
+    return int("".join(map(str, out)), 2)
 
 
 def embed_basis_state(bits, emap: EmbeddingMap, bystander: int = 0) -> tuple[int, ...]:
@@ -230,8 +270,8 @@ def embed_basis_state(bits, emap: EmbeddingMap, bystander: int = 0) -> tuple[int
     Returns:
         Per-site level tuple; work sites are at level 0.
     """
-    values = _parse_bits(bits, emap.qubit_count)
-    return emap.register.label(int(emap.encode(values, bystander)))
+    x = emap.encode(_parse_bits(bits, emap.qubit_count), bystander)
+    return emap.register.label(int(x))
 
 
 def lift_single_qubit_gate(

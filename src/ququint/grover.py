@@ -1,10 +1,13 @@
 """Grover search for a hidden bitstring, lowered through a chosen backend.
 
-The circuit is the usual one: Hadamards everywhere, then per iteration a
-phase oracle (X gates on the zero bits of the target string around a
-multi-controlled Z, so exactly |omega> flips sign) followed by the diffusion
-reflection (the same multi-controlled Z sandwiched between X and H layers).
-Each iteration therefore contains exactly two multi-controlled gates.
+The circuit is the usual one: Hadamards everywhere, then per iteration two
+reflections, each built around one multi-controlled Z:
+
+- the phase oracle 1 - 2|omega><omega|, the multi-controlled Z conjugated
+  by X on the zero bits of omega, so exactly |omega> flips sign;
+- the diffusion 1 - 2|s><s|, with |s> the uniform state, the same
+  multi-controlled Z sandwiched between X and H layers (the opposite sign
+  convention differs only by a global phase, which no outcome can see).
 
 Backends differ only in where that multi-controlled Z comes from:
 
@@ -17,12 +20,11 @@ Backends differ only in where that multi-controlled Z comes from:
 
 Every backend then runs the same search (:func:`_search`), so all report the
 same outcome distribution with zero leakage; only the two-particle gate count
-differs. The search applies each iteration as the two reflections its steps
-equal, 1 - 2|omega><omega| and 1 - 2|s><s| with |s> the uniform state, as
+differs. The search applies each iteration as its two reflections, as
 ``TestOracle::test_flips_only_omega`` and
-``TestDiffusion::test_is_reflection_about_uniform_state`` check. Both keep
-span{|omega>, |s>}, so it iterates two amplitudes, the marked one and the
-one every other bitstring shares, in O(k + 2^n).
+``TestDiffusion::test_is_reflection_about_uniform_state`` check against the
+gate steps. Both keep span{|omega>, |s>}, so it iterates two amplitudes, the
+marked one and the one every other bitstring shares, in O(k + 2^n).
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HADAMARD, PAULI_X, DimensionTooLargeError
+from .core import DimensionTooLargeError
 from .decompose import (
     _MAX_SWEEP_N,
     METHODS,
@@ -43,9 +45,6 @@ from .decompose import (
 from .embedding import ODD_VARIANTS, OutcomeView, _parse_bits
 
 BACKENDS = ("reference",) + METHODS
-
-# qubit-level circuit steps: ("u", qubit, TwoLevelUnitary) or ("cnz",)
-Step = tuple
 
 
 def auto_iterations(n: int) -> int:
@@ -61,31 +60,6 @@ def _max_iterations(n: int) -> int:
     in k, ceil(pi / (2 asin(2^(-n/2)))), about twice :func:`auto_iterations`:
     more iterations only revisit outcomes an earlier count gives."""
     return math.ceil(math.pi / (2.0 * math.asin(2.0 ** (-n / 2))))
-
-
-def build_oracle(omega: str, n: int | None = None) -> list[Step]:
-    """Phase oracle steps sending |x> to -|x> exactly when x equals omega.
-
-    The leftmost character of ``omega`` is qubit 0 (most significant).
-    """
-    bits = _parse_bits(omega, len(omega) if n is None else n)
-    flips = [("u", q, PAULI_X) for q, b in enumerate(bits) if b == 0]
-    return flips + [("cnz",)] + flips
-
-
-def build_diffusion(n: int) -> list[Step]:
-    """Reflection about the uniform superposition.
-
-    The H / X / multi-controlled-Z / X / H sandwich equals
-    1 - 2|sym><sym| exactly (|sym> the uniform state); the opposite sign
-    convention for the reflection differs only by a global phase, which no
-    outcome probability can see.
-    """
-    if n < 2:
-        raise ValueError(f"need at least two qubits, got n={n}")
-    hs = [("u", q, HADAMARD) for q in range(n)]
-    xs = [("u", q, PAULI_X) for q in range(n)]
-    return hs + xs + [("cnz",)] + xs + hs
 
 
 @dataclass(frozen=True)

@@ -109,16 +109,14 @@ def exact_report(result, target):
     emap = result.embedding
     n = emap.qubit_count
     assert not emap.bystander_sites
-    # every input in counting order, one row of bits each, qubit 0 first
-    bits = np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1) & 1
-    expected = bits.copy()
+    # every input x in counting order, qubit 0 its most significant bit
+    x, full = np.arange(2**n), 2**n - 1
     if target is None:
-        signs = np.where(bits.all(axis=1), -1, 1)
+        expected, signs = x, np.where(x == full, -1, 1)
     else:
-        controls = np.delete(bits, target, axis=1).all(axis=1)
-        expected[controls, target] ^= 1
-        signs = np.ones(len(bits), dtype=np.int64)
-    starts, expects = emap.encode(bits), emap.encode(expected)
+        flip = 1 << (n - 1 - target)
+        expected, signs = np.where(x | flip == full, x ^ flip, x), np.ones(len(x), dtype=np.int64)
+    starts, expects = emap.encode(x), emap.encode(expected)
     register = result.circuit.register
     keys, coefs, k = run(register, result.circuit.gates, starts)
     owner, index = np.divmod(keys, register.size)

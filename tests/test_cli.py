@@ -344,7 +344,7 @@ class TestSimulate:
         ``--probs`` prints from input 1111 and from the state."""
         result = decompose_cnz(DecompositionRequest(4, method, target_qubit=3))
         emap, register = result.embedding, result.circuit.register
-        index = emap.encode([[x >> (3 - q) & 1 for q in range(4)] for x in range(16)])
+        index = emap.encode(np.arange(16))
         rng = np.random.default_rng(11)
         amps = np.zeros(register.size, dtype=complex)
         amps[index] = rng.normal(size=16) + 1j * rng.normal(size=16)
@@ -450,7 +450,7 @@ def test_shots_draw_what_the_full_table_drew(n, method, variant, target):
     document = CircuitDocument(result.circuit, result.embedding, target)
     register, emap = result.circuit.register, result.embedding
     rng = np.random.default_rng(n)
-    starts = [(emap.encode(rng.integers(0, 2, n)).reshape(1), np.ones(1)) for _ in range(4)]
+    starts = [(emap.encode(rng.integers(0, 2**n, 1)), np.ones(1)) for _ in range(4)]
     for _ in range(2):
         amps = rng.normal(size=register.size) + 1j * rng.normal(size=register.size)
         starts.append((np.arange(register.size), amps / np.linalg.norm(amps)))

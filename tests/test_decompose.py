@@ -830,8 +830,7 @@ def decode_every_row(result, target):
     bystanders = (0, 1) if emap.bystander_sites else (0,)
 
     def encode(v):  # bystander innermost
-        bits = v[:, None] >> np.arange(n - 1, -1, -1) & 1
-        return np.stack([emap.encode(bits, b) for b in bystanders], axis=1).ravel()
+        return np.stack([emap.encode(v, b) for b in bystanders], axis=1).ravel()
 
     starts, expects, signs = encode(x), encode(wanted), np.repeat(signs, len(bystanders))
     m = len(starts)
@@ -913,28 +912,38 @@ def test_every_ladder_plans_as_the_reference_planner(n):
 
 
 class TestBlockEncoder:
-    """The sweep encodes each block through tables of x's low and high bits;
-    every index must be the one ``EmbeddingMap.encode`` gives the bit rows,
-    each bystander value's offset included."""
+    """The sweep encodes each block through the embedding's unchecked
+    lookup; every index must be the per-qubit formula's, written out here
+    apart from the embedding's tables: each qubit's bit times its site's
+    stride, doubled on slot A, plus every bystander site's stride times the
+    bystander bit, bystander innermost."""
 
     @staticmethod
     def encoded(emap, x):
-        n = emap.qubit_count
-        bits = x[:, None] >> np.arange(n - 1, -1, -1) & 1
-        bystanders = (0, 1) if emap.bystander_sites else (0,)
-        return np.stack([emap.encode(bits, b) for b in bystanders], axis=1).ravel()
+        n, dims = emap.qubit_count, emap.register.dims
+        strides = [int(np.prod(dims[site + 1 :])) for site in range(len(dims))]
+        index = sum(
+            (x >> (n - 1 - q) & 1) * strides[site] * (2 if slot is QubitSlot.A else 1)
+            for q, (site, slot) in enumerate(emap.assignments)
+        )
+        slots = {}
+        for site, slot in emap.assignments:
+            slots.setdefault(site, set()).add(slot)
+        offset = sum(strides[site] for site, on in slots.items() if on == {QubitSlot.A})
+        bystanders = (0, 1) if offset else (0,)
+        return np.stack([index + b * offset for b in bystanders], axis=1).ravel()
 
     @pytest.fixture
     def blocks(self, monkeypatch):
-        """Every (inputs, indices) pair the sweep's encoder returns."""
+        """Every (inputs, indices) pair the sweep's lookup returns."""
         seen = []
-        make = decompose._block_encoder
+        lookup = EmbeddingMap._lookup
 
-        def recording(emap):
-            encode = make(emap)
-            return lambda x: seen.append((x.copy(), encode(x))) or seen[-1][1]
+        def recording(emap, x):
+            seen.append((x.copy(), lookup(emap, x)))
+            return seen[-1][1]
 
-        monkeypatch.setattr(decompose, "_block_encoder", recording)
+        monkeypatch.setattr(EmbeddingMap, "_lookup", recording)
         return seen
 
     @pytest.mark.parametrize("n,method,variant", [

@@ -137,18 +137,17 @@ def dense_verdict(document):
     emap, target = document.embedding, document.target_qubit
     n, size = emap.qubit_count, document.circuit.register.size
     unitary = circuit_unitary(document.circuit)
-    error = 0.0
-    for bits in itertools.product((0, 1), repeat=n):
-        bits = np.array(bits)
-        want, sign = bits.copy(), 1.0
+    error, full = 0.0, 2**n - 1  # input x, qubit 0 its most significant bit
+    for x in range(full + 1):
+        want, sign = x, 1.0
         if target is None:
-            sign = -1.0 if bits.all() else 1.0
-        elif np.delete(bits, target).all():
-            want[target] ^= 1
+            sign = -1.0 if x == full else 1.0
+        elif x | 1 << (n - 1 - target) == full:
+            want = x ^ 1 << (n - 1 - target)
         for bystander in (0, 1) if emap.bystander_sites else (0,):
             column = np.zeros(size, dtype=complex)
             column[emap.encode(want, bystander)] = sign
-            error = max(error, np.abs(unitary[:, emap.encode(bits, bystander)] - column).max())
+            error = max(error, np.abs(unitary[:, emap.encode(x, bystander)] - column).max())
     return error < STATE_TOL
 
 

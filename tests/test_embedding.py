@@ -293,7 +293,7 @@ def codec_layout(n, layout):
 
 CODEC_CASES = [
     (n, layout)
-    for n in range(2, 10)
+    for n in range(2, 15)
     for layout in ("single", "neighbor", "qutrit", "qubit")
     if layout != "neighbor" or n % 2
 ]
@@ -315,20 +315,28 @@ def label_oracle(label, emap):
 
 
 class TestCodec:
-    @pytest.mark.parametrize("n,layout", CODEC_CASES)
-    def test_decode_inverts_encode(self, n, layout):
-        emap = codec_layout(n, layout)
-        bits = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    @staticmethod
+    def assert_round_trip(emap, x):
         bystanders = (0, 1) if emap.bystander_sites else (0,)
         seen = set()
         for bystander in bystanders:
-            indices = emap.encode(bits, bystander)
+            indices = emap.encode(x, bystander)
             seen.update(indices.tolist())
             outcome, computational = emap.decode(indices)
-            assert outcome.tolist() == list(range(2**n))
+            assert np.array_equal(outcome, x)
             assert computational.all()
-            assert emap.encode(bits[-1], bystander) == indices[-1]
-        assert len(seen) == 2**n * len(bystanders)  # every input its own index
+            assert emap.encode(int(x[-1]), bystander) == indices[-1]
+        assert len(seen) == len(x) * len(bystanders)  # every input its own index
+
+    @pytest.mark.parametrize("n,layout", CODEC_CASES)
+    def test_decode_inverts_encode(self, n, layout):
+        # from n = 11 on, x's high bits read the second table
+        self.assert_round_trip(codec_layout(n, layout), np.arange(2**n))
+
+    @pytest.mark.parametrize("n,layout", [(22, "single"), (21, "neighbor")])
+    def test_decode_inverts_encode_on_a_sample(self, n, layout):
+        x = np.unique(np.random.default_rng(n).integers(0, 2**n, size=4096))
+        self.assert_round_trip(codec_layout(n, layout), np.concatenate([[0], x, [2**n - 1]]))
 
     @pytest.mark.parametrize(
         "n,layout",
@@ -345,8 +353,24 @@ class TestCodec:
             assert (format(outcome[i], f"0{n}b") if computational[i] else None) == expected
 
     def test_encode_rejects_bad_bystander(self):
-        with pytest.raises(ValueError, match="bystander"):
-            default_embedding(3, "neighbor").encode([1, 1, 1], 2)
+        for variant in ("single", "neighbor"):
+            for bystander in (2, -1):
+                with pytest.raises(ValueError, match="bystander bit must be 0 or 1"):
+                    default_embedding(3, variant).encode(7, bystander)
+
+    @pytest.mark.parametrize("x", [-1, 8, [0, 8], [-1, 1], [[7], [9]], 0.5, [1.0], 2**70])
+    @pytest.mark.parametrize("variant", ["single", "neighbor"])
+    def test_encode_rejects_inputs_off_the_qubits(self, variant, x):
+        # three qubits hold x in [0, 8): none of these is an input
+        for bystander in (0, 1):
+            with pytest.raises(ValueError, match=r"integers in \[0, 2\^3\)"):
+                default_embedding(3, variant).encode(x, bystander)
+
+    def test_encode_keeps_the_shape_of_its_inputs(self):
+        emap = default_embedding(3, "neighbor")
+        assert emap.encode([[2, 0]], 1).tolist() == [[emap.encode(2, 1), emap.encode(0, 1)]]
+        assert emap.encode([2, 0]).tolist() == [5, 0]  # x = 2: qubit 1, site 0's slot B
+        assert emap.encode(np.array([], dtype=np.int64)).shape == (0,)
 
 
 # Slots each kind of site hosts; a work site hosts none.
@@ -394,16 +418,16 @@ def test_codec_matches_the_per_qubit_formula(emap, data):
     assert (emap.bystander_sites, emap.work_sites, emap.level_ceilings) == (
         bystanders, work, ceilings
     )
-    rows = data.draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=1))
+    inputs = data.draw(st.lists(st.integers(0, 2**n - 1), min_size=1))
     for bystander in (0, 1):
         want = [
-            sum(strides[site] * bit * (2 if slot is QubitSlot.A else 1)
-                for bit, (site, slot) in zip(row, emap.assignments))
+            sum(strides[site] * (x >> (n - 1 - q) & 1) * (2 if slot is QubitSlot.A else 1)
+                for q, (site, slot) in enumerate(emap.assignments))
             + bystander * sum(strides[site] for site in bystanders)
-            for row in rows
+            for x in inputs
         ]
-        assert emap.encode(rows, bystander).tolist() == want
-        assert emap.encode(rows[0], bystander) == want[0]
+        assert emap.encode(inputs, bystander).tolist() == want
+        assert emap.encode(inputs[0], bystander) == want[0]
     indices = data.draw(st.lists(st.integers(0, emap.register.size - 1), min_size=1))
     outcome, computational = emap.decode(indices)
     for index, got, ok in zip(indices, outcome.tolist(), computational.tolist()):

@@ -32,13 +32,32 @@ from ququint import grover
 from ququint.core import PAULI_X, STATE_TOL, _apply_gate_inplace
 from ququint.decompose import _MAX_SWEEP_N, METHODS
 from ququint.embedding import ODD_VARIANTS, OutcomeView, lift_single_qubit_gate
-from ququint.grover import BACKENDS, build_diffusion, build_oracle
+from ququint.grover import BACKENDS
 from readout import dense_read_out
 
 
 def analytic_success(n, k):
     theta = math.asin(2 ** (-n / 2))
     return math.sin((2 * k + 1) * theta) ** 2
+
+
+# One iteration's gate steps, the circuit ``grover._search`` must equal:
+# ("u", qubit, TwoLevelUnitary) or ("cnz",) for the multi-controlled Z.
+
+
+def build_oracle(omega):
+    """Phase oracle steps sending |x> to -|x> exactly when x equals omega,
+    whose leftmost character is qubit 0 (most significant)."""
+    flips = [("u", q, PAULI_X) for q, b in enumerate(omega) if b == "0"]
+    return flips + [("cnz",)] + flips
+
+
+def build_diffusion(n):
+    """Reflection about the uniform state: the H / X / multi-controlled-Z /
+    X / H sandwich equals 1 - 2|s><s| exactly."""
+    hs = [("u", q, HADAMARD) for q in range(n)]
+    xs = [("u", q, PAULI_X) for q in range(n)]
+    return hs + xs + [("cnz",)] + xs + hs
 
 
 def steps_matrix(steps, n):
@@ -101,12 +120,6 @@ class TestOracle:
         n = len(omega)
         m = steps_matrix(build_oracle(omega) * 2, n)
         assert np.allclose(m, np.eye(2**n), atol=1e-12)
-
-    def test_rejects_bad_strings(self):
-        with pytest.raises(ValueError):
-            build_oracle("10", 3)
-        with pytest.raises(ValueError):
-            build_oracle("1x1")
 
 
 class TestDiffusion:
@@ -390,7 +403,7 @@ def _full_register_run(emap, ladder, omega, k):
     arr = np.zeros(register.size, dtype=complex)
     arr[0] = 1.0
     flip = register.index(embed_basis_state("1" * n, emap))
-    iteration = build_oracle(omega, n) + build_diffusion(n)
+    iteration = build_oracle(omega) + build_diffusion(n)
     for step in [("u", q, HADAMARD) for q in range(n)] + iteration * k:
         if step[0] == "u":
             gates = lift_single_qubit_gate(step[2], step[1], emap)

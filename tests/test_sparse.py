@@ -316,10 +316,10 @@ def test_hadamard_off_by_an_angle_is_not_snapped_away(angle):
     report = verify_decomposition(
         DecompositionResult(QuditCircuit(register, gates), emap, 13, 1)
     )
-    bits = [[x >> (2 - q) & 1 for q in range(3)] for x in range(8)]
-    columns = circuit_unitary(QuditCircuit(register, gates))[:, emap.encode(bits)]
+    inputs = emap.encode(np.arange(8))
+    columns = circuit_unitary(QuditCircuit(register, gates))[:, inputs]
     wanted = np.zeros_like(columns)
-    wanted[emap.encode(bits), range(8)] = [1] * 7 + [-1]
+    wanted[inputs, range(8)] = [1] * 7 + [-1]
     off = ~emap.decode(np.arange(register.size))[1]
     error = np.abs(columns - wanted).max()
     assert error > angle / 2
